@@ -19,11 +19,14 @@ import os
 import sys
 
 from .errors import ConfigError, NumericalAbort
+from .net import set_blas_threads
 from .trainer import (RngSet, TrainConfig, build_problem, ensure_reference,
                       plan_step, run_training, step_baseline, step_sdifp)
 
 METRICS_HEADER = "epoch,loss,error_u,error_c1,error_c2,tape_nodes,seconds"
 SWEEP_HEADER = "axis,value,error_c1,error_c2,tape_nodes,seconds,status"
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 _BOOL_FIELDS = {f.name for f in dataclasses.fields(TrainConfig) if f.type == "bool"}
 _INT_FIELDS = {f.name for f in dataclasses.fields(TrainConfig) if f.type == "int"}
@@ -291,6 +294,11 @@ def make_parser():
 
 
 def main(argv=None) -> int:
+    # The detached forward pass runs its chunks on two threads only while BLAS
+    # runs on one (net.forward_array).  numpy is loaded by now, so the count is
+    # set through the library; a count the environment sets is left alone.
+    if not any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
+        set_blas_threads(1)
     parser = make_parser()
     try:
         args = parser.parse_args(argv)

@@ -8,9 +8,15 @@ jets along one chosen input coordinate in either mode.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -89,27 +95,103 @@ def _check_inputs(X):
 
 
 _FORWARD_CHUNK = 8192  # keep layer activations inside the cache
+_SPLIT_MIN = 1024      # below this a chunk costs less than handing half of it over
+
+_helper = (None, None)  # (pid, executor) of the process that started it
+_helper_lock = threading.Lock()
+
+
+@functools.cache
+def _openblas(symbol, restype, *argtypes):
+    """A function of the OpenBLAS numpy is linked against, or None."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        fn = getattr(ctypes.CDLL(str(lib)), symbol, None)
+        if fn is not None:
+            fn.restype = restype
+            fn.argtypes = argtypes
+            return fn
+    return None
+
+
+def blas_threads():
+    """Thread count of the linked OpenBLAS, or None when it cannot be read."""
+    fn = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    return None if fn is None else int(fn())
+
+
+def set_blas_threads(n):
+    """Set the thread count of the linked OpenBLAS, where it can be found."""
+    fn = _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    if fn is not None:
+        fn(int(n))
+
+
+def _helper_pool():
+    """The one helper thread of this process, started on first use.
+
+    Keyed on the pid: a forked child inherits the parent's executor object
+    but not its thread, so it starts its own.
+    """
+    global _helper
+    with _helper_lock:
+        if _helper[0] != os.getpid():
+            _helper = (os.getpid(), ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="cpl-forward"))
+        return _helper[1]
+
+
+def _forward_rows(layers, X, bufs, out, lo, hi, base):
+    """Rows lo:hi of X through the network into out[lo:hi].
+
+    Activations go to rows lo-base:hi-base of the two ping-pong buffers, so
+    two calls over disjoint row ranges of one chunk can run at once.  Each
+    row's value depends only on the BLAS calls it is part of, and a range
+    that starts at a multiple of 4 keeps every row in the same position
+    relative to the kernels' row blocking as one call over the whole chunk.
+    """
+    h = X[lo:hi]
+    for i, (W, b) in enumerate(layers[:-1]):
+        z = bufs[i % 2][lo - base:hi - base]
+        np.matmul(h, W.T, out=z)
+        z += b
+        np.tanh(z, out=z)
+        h = z
+    W_head, b_head = layers[-1]
+    np.matmul(h, W_head[0], out=out[lo:hi])
+    out[lo:hi] += b_head[0]
 
 
 def forward_array(params: MLPParams, X: np.ndarray) -> np.ndarray:
     """Plain value evaluation over a batch X (B, in_dim); touches no tape.
 
     This is the detached-quadrature hot path: evaluated in row chunks with
-    in-place bias/activation so large clouds stay memory-friendly.
+    in-place bias/activation so large clouds stay memory-friendly.  With a
+    single-threaded BLAS each chunk of at least _SPLIT_MIN rows is split near
+    its middle at a multiple of 4; a helper thread runs the second half while
+    the caller runs the first.  The output is bitwise the same as a serial
+    pass over the same chunks, and the rows in flight stay one chunk.
     """
     _check_inputs(X)
     layers = params.layers()
     n = X.shape[0]
-    W_head, b_head = layers[-1]
+    rows = min(n, _FORWARD_CHUNK)
+    width = layers[0][0].shape[0]
+    bufs = (np.empty((rows, width)), np.empty((rows, width)))
     out = np.empty(n)
+    split = blas_threads() == 1
     for s in range(0, n, _FORWARD_CHUNK):
-        h = X[s:s + _FORWARD_CHUNK]
-        for W, b in layers[:-1]:
-            z = h @ W.T
-            z += b
-            np.tanh(z, out=z)
-            h = z
-        out[s:s + _FORWARD_CHUNK] = h @ W_head[0] + b_head[0]
+        e = min(s + _FORWARD_CHUNK, n)
+        if not split or e - s < _SPLIT_MIN:
+            _forward_rows(layers, X, bufs, out, s, e, s)
+            continue
+        mid = s + (e - s) // 8 * 4
+        fut = _helper_pool().submit(_forward_rows, layers, X, bufs, out, mid, e, s)
+        try:
+            _forward_rows(layers, X, bufs, out, s, mid, s)
+        finally:
+            wait((fut,))  # the halves share the buffers: never leave one running
+        fut.result()
     return out
 
 

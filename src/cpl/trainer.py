@@ -121,6 +121,7 @@ class MetricsRecord:
     error_c2: float
     tape_nodes: int
     seconds: float
+    affine_table: list = None     # (t, alpha, beta) on the evaluation time grid
 
 
 @dataclass
@@ -517,14 +518,15 @@ def evaluate(params, problem, cfg, targets, smc_points, rngs, reference=None,
     provide = projection_provider(params, problem, cfg, targets, smc_points, rngs)
     vol = problem.domain.volume
     holdout = spatial_cloud(cfg.eval_cloud, problem.domain, kind="sobol",
-                            skip=cfg.holdout_skip,
-                            rng=rngs.eval if problem.d > 64 else None)
+                            skip=cfg.holdout_skip)
     tgrid = np.linspace(0.0, problem.t_final, n_time_grid)
     e1 = 0.0
     e2 = 0.0
     m = holdout.points.shape[0]
+    table = []
     for t in tgrid:
         a, b = provide(t)
+        table.append((float(t), float(a), float(b)))
         u = forward_array(params, np.concatenate(
             [holdout.points, np.full((m, 1), t)], axis=1))
         ut = a * u + b
@@ -555,7 +557,7 @@ def evaluate(params, problem, cfg, targets, smc_points, rngs, reference=None,
 
     return MetricsRecord(epoch=epoch, loss=0.0, error_u=error_u,
                          error_c1=error_c1, error_c2=error_c2,
-                         tape_nodes=tape_nodes, seconds=seconds)
+                         tape_nodes=tape_nodes, seconds=seconds, affine_table=table)
 
 
 # -- run orchestration --------------------------------------------------------------
@@ -615,8 +617,7 @@ def run_training(cfg: TrainConfig, reference="auto", cache_dir=None,
     opt = OptimizerState.fresh(params.flat.size)
 
     smc_skip = 0
-    smc = spatial_cloud(cfg.cloud_m, problem.domain, kind="sobol", skip=smc_skip,
-                        rng=rngs.eval if problem.d > 64 else None)
+    smc = spatial_cloud(cfg.cloud_m, problem.domain, kind="sobol", skip=smc_skip)
 
     metrics = []
     max_nodes = 0
@@ -627,7 +628,7 @@ def run_training(cfg: TrainConfig, reference="auto", cache_dir=None,
         refresh = (epoch % max(1, cfg.moment_refresh) == 0)
         # the cloud only advances when moments are re-estimated, so cached
         # moments always describe the cloud in use
-        if (not cfg.freeze_cloud and epoch > 0 and problem.d <= 64
+        if (not cfg.freeze_cloud and epoch > 0
                 and (cfg.method != "sdifp" or refresh)):
             smc_skip += cfg.cloud_m
             smc = spatial_cloud(cfg.cloud_m, problem.domain, kind="sobol", skip=smc_skip)
@@ -661,8 +662,12 @@ def run_training(cfg: TrainConfig, reference="auto", cache_dir=None,
                     f"err_c1 {rec.error_c1:.3e}  err_c2 {rec.error_c2:.3e}  "
                     f"tape {rec.tape_nodes}  [{elapsed:.1f}s]")
 
-    tgrid = np.linspace(0.0, problem.t_final, 64)
-    provide = projection_provider(params, problem, cfg, targets, smc.points, rngs)
-    affine_table = [(float(t),) + tuple(map(float, provide(t))) for t in tgrid]
+    # the last evaluate() solved this table at the final parameters and cloud;
+    # only discrete_proj draws fresh supports per solve, so it solves again
+    affine_table = metrics[-1].affine_table
+    if cfg.method == "discrete_proj":
+        tgrid = np.linspace(0.0, problem.t_final, 64)
+        provide = projection_provider(params, problem, cfg, targets, smc.points, rngs)
+        affine_table = [(float(t),) + tuple(map(float, provide(t))) for t in tgrid]
     return TrainResult(params=params, metrics=metrics, affine_table=affine_table,
                        config=cfg, max_tape_nodes=max_nodes, problem=problem)
