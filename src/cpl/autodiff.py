@@ -135,10 +135,6 @@ class Tape:
         """Register an input/parameter leaf."""
         return self._push("leaf", (), None, np.asarray(value, dtype=np.float64))
 
-    def constant(self, value):
-        # historical alias: constants enter as leaves with no adjoint consumers
-        return self.leaf(value)
-
     def record(self, op, *args):
         """Apply a scalar primitive, appending one node with its local partials.
 

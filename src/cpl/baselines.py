@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Var
 from .errors import ConfigError, DegenerateField, InfeasibleTargets
 
 GRID_POINT_CAP = 2 ** 20
@@ -82,24 +83,35 @@ def proj_quadratic(field, dv, c2):
     return field * np.sqrt(c2 / (dv * s))
 
 
-def proj_combined(field, dv, c1, c2):
-    """Nearest point on the intersection of the linear and quadratic constraint sets.
+def combined_scalars(field, dv, c1, c2):
+    """Scale a and shift b of the nearest point a * field + b on the
+    intersection of the linear and quadratic constraint sets.
 
-    Centered field rescaled onto the sphere, then recentered at the mean the
-    linear constraint dictates.
+    The centered field is rescaled onto the sphere, then recentered at the
+    mean the linear constraint dictates.  ``field`` is a numpy array or a tape
+    variable; (a, b) are of the same kind, so the projection can be
+    differentiated on a tape.
     """
-    field = np.asarray(field, dtype=np.float64)
-    n = field.size
-    mu = field.mean()
-    centered = field - mu
+    taped = isinstance(field, Var)
+    n = (field.value if taped else field).size
     radius2 = c2 / dv - c1 * c1 / (n * dv * dv)
     if radius2 <= 0.0:
         raise InfeasibleTargets(
             f"combined projection infeasible: c2/dv - c1^2/(n dv^2) = {radius2:.3e} <= 0")
-    den = float((centered * centered).sum())
-    if den <= 0.0:
+    mu = field.tape.mean(field) if taped else field.mean()
+    centered = field - mu
+    den = field.tape.sum(centered * centered) if taped else (centered * centered).sum()
+    if float(den.value if taped else den) <= 1e-300:
         raise DegenerateField("zero-variance field has no nearest point on the sphere")
-    return centered * np.sqrt(radius2 / den) + c1 / (n * dv)
+    a = (radius2 / den).sqrt() if taped else np.sqrt(radius2 / den)
+    return a, c1 / (n * dv) - a * mu
+
+
+def proj_combined(field, dv, c1, c2):
+    """Nearest point on the intersection of the linear and quadratic constraint sets."""
+    field = np.asarray(field, dtype=np.float64)
+    a, b = combined_scalars(field, dv, c1, c2)
+    return a * field + b
 
 
 def mc_misuse_projection(field, domain_volume, c1, c2):

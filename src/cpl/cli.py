@@ -19,12 +19,13 @@ import os
 import sys
 
 from .errors import ConfigError, NumericalAbort
-from .net import set_blas_threads
-from .trainer import (RngSet, TrainConfig, build_problem, ensure_reference,
+from .net import NetworkConfig, init_params, set_blas_threads
+from .sampler import spatial_cloud
+from .trainer import (RngSet, TrainConfig, build_problem, ensure_reference, evaluate,
                       plan_step, run_training, step_baseline, step_sdifp)
 
 METRICS_HEADER = "epoch,loss,error_u,error_c1,error_c2,tape_nodes,seconds"
-SWEEP_HEADER = "axis,value,error_c1,error_c2,tape_nodes,seconds,status"
+SWEEP_HEADER = "axis,value,error_c1,error_c2,tape_nodes,status"
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -151,74 +152,56 @@ def cmd_reference(args) -> int:
     return 0
 
 
-def _sweep_one(axis, raw, cfg: TrainConfig):
-    """One sweep row; refused values carry the reason in the status column."""
-    from .sampler import spatial_cloud
-    from .net import NetworkConfig, init_params
-    from .trainer import evaluate, run_training
+def _sweep_setup(c: TrainConfig):
+    """Problem, targets, detached cloud points, initial parameters and streams."""
+    c.validate()
+    problem = build_problem(c)
+    if problem.needs_invariant_table():
+        ensure_reference(problem, c)
+    cloud = spatial_cloud(c.cloud_m, problem.domain, kind="sobol", skip=0)
+    params = init_params(NetworkConfig(in_dim=problem.d + 1, hidden_layers=c.hidden_layers,
+                                       width=c.width, seed=c.seed))
+    return problem, problem.domain_averaged_targets(), cloud.points, params, RngSet(c.seed)
 
+
+def _sweep_one(axis, raw, cfg: TrainConfig):
+    """One sweep row; refused or aborted values carry the reason in the status column."""
     v = int(raw) if float(raw).is_integer() else float(raw)
     status = "ok"
     e1 = e2 = float("nan")
     nodes = 0
-    secs = 0.0
     try:
         if axis == "dimension":
-            if v > 64:
-                raise ConfigError(f"dimension {v} beyond the Sobol table cap 64")
             c = dataclasses.replace(cfg, dim=int(v), epochs=max(1, cfg.epochs),
                                     eval_every=max(1, cfg.epochs))
             r = run_training(c, reference=None)
             last = r.metrics[-1]
             e1, e2, nodes = last.error_c1, last.error_c2, r.max_tape_nodes
-        elif axis == "batch":
-            c = dataclasses.replace(cfg, batch_n=int(v))
-            problem = build_problem(c)
-            if problem.needs_invariant_table():
-                ensure_reference(problem, c)
-            targets = problem.domain_averaged_targets()
-            rngs = RngSet(c.seed)
-            cloud = spatial_cloud(c.cloud_m, problem.domain, kind="sobol", skip=0)
+        elif axis in ("batch", "subset_size"):
+            if axis == "batch":
+                c = dataclasses.replace(cfg, batch_n=int(v))
+            else:
+                c = dataclasses.replace(cfg, size_i=int(v), size_j=int(v),
+                                        estimator="ds_uge")
+            problem, targets, cloud, params, rngs = _sweep_setup(c)
             plan = plan_step(problem, c, rngs)
-            params = init_params(NetworkConfig(in_dim=problem.d + 1,
-                                               hidden_layers=c.hidden_layers,
-                                               width=c.width, seed=c.seed))
             if c.method == "sdifp":
-                _, diag, _ = step_sdifp(params, problem, c, plan, cloud.points, targets)
+                _, diag, _ = step_sdifp(params, problem, c, plan, cloud, targets)
             else:
                 _, diag = step_baseline(params, problem, c, plan, targets=targets)
             nodes = diag.tape_nodes
-        elif axis == "subset_size":
-            c = dataclasses.replace(cfg, size_i=int(v), size_j=int(v),
-                                    estimator="ds_uge")
-            problem = build_problem(c)
-            targets = problem.domain_averaged_targets()
-            rngs = RngSet(c.seed)
-            cloud = spatial_cloud(c.cloud_m, problem.domain, kind="sobol", skip=0)
-            plan = plan_step(problem, c, rngs)
-            params = init_params(NetworkConfig(in_dim=problem.d + 1,
-                                               hidden_layers=c.hidden_layers,
-                                               width=c.width, seed=c.seed))
-            _, diag, _ = step_sdifp(params, problem, c, plan, cloud.points, targets)
-            nodes = diag.tape_nodes
         elif axis == "cloud_size":
             c = dataclasses.replace(cfg, cloud_m=int(v))
-            problem = build_problem(c)
-            if problem.needs_invariant_table():
-                ensure_reference(problem, c)
-            targets = problem.domain_averaged_targets()
-            params = init_params(NetworkConfig(in_dim=problem.d + 1,
-                                               hidden_layers=c.hidden_layers,
-                                               width=c.width, seed=c.seed))
-            cloud = spatial_cloud(int(v), problem.domain, kind="sobol", skip=0)
-            rngs = RngSet(c.seed)
-            rec = evaluate(params, problem, c, targets, cloud.points, rngs)
+            problem, targets, cloud, params, rngs = _sweep_setup(c)
+            rec = evaluate(params, problem, c, targets, cloud, rngs)
             e1, e2 = rec.error_c1, rec.error_c2
         else:
             raise ConfigError(f"unknown sweep axis {axis}")
     except ConfigError as exc:
         status = f"refused: {exc}"
-    return (axis, v, e1, e2, nodes, secs, status)
+    except NumericalAbort as exc:
+        status = f"aborted: {exc}"
+    return (axis, v, e1, e2, nodes, status)
 
 
 def _sweep_rows(args, cfg: TrainConfig, values):
@@ -240,9 +223,9 @@ def cmd_sweep(args) -> int:
     path = os.path.join(base, f"sweep_{args.axis}.csv")
     with open(path, "w") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for axis, v, e1, e2, nodes, secs, status in rows:
+        for axis, v, e1, e2, nodes, status in rows:
             fh.write(f"{axis},{v},{_fmt(float(e1))},{_fmt(float(e2))},"
-                     f"{nodes},{_fmt(secs)},\"{status}\"\n")
+                     f"{nodes},\"{status}\"\n")
     print(f"sweep written: {path}")
     return 0
 

@@ -161,25 +161,32 @@ def jet_div(a: Jet, b: Jet) -> Jet:
     return Jet(out)
 
 
-def jet_tanh(x: Jet) -> Jet:
-    k_max = x.order
-    y = [None] * (k_max + 1)
-    w = [None] * (k_max + 1)  # w = 1 - y^2
-    y[0] = _tanh(x.coeffs[0])
-    w[0] = 1.0 - y[0] * y[0]
+def tanh_series(x, y0, w0):
+    """Coefficients of tanh along the jet coefficients x, given the primal
+    y0 = tanh(x[0]) and w0 = 1 - y0^2 (x[0] is not read).  The coefficients
+    of w = 1 - y^2 are formed only below the top order, which reads none."""
+    k_max = len(x) - 1
+    y = [y0] + [None] * k_max
+    w = [w0] + [None] * k_max  # w = 1 - y^2
     for k in range(1, k_max + 1):
         acc = None
         for j in range(1, k + 1):
-            cj = x.coeffs[j]
+            cj = x[j]
             if cj is None:
                 continue
             acc = _add(acc, _mul(float(j) * cj if j > 1 else cj, w[k - j]))
         y[k] = None if acc is None else acc * (1.0 / k)
-        acc = None
-        for j in range(k + 1):
-            acc = _add(acc, _mul(y[j], y[k - j]))
-        w[k] = None if acc is None else -acc
-    return Jet(y)
+        if k < k_max:
+            acc = None
+            for j in range(k + 1):
+                acc = _add(acc, _mul(y[j], y[k - j]))
+            w[k] = None if acc is None else -acc
+    return y
+
+
+def jet_tanh(x: Jet) -> Jet:
+    y0 = _tanh(x.coeffs[0])
+    return Jet(tanh_series(x.coeffs, y0, 1.0 - y0 * y0))
 
 
 def jet_exp(x: Jet) -> Jet:

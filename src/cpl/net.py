@@ -1,9 +1,11 @@
 """Backbone scalar network: tanh MLP over (x, t) with a linear head.
 
 Parameters live in one flat float64 vector with a per-layer shape table.
-Three evaluation paths share the same layer code: plain numpy values (used
-for detached quadrature, never recorded), tape-recorded values, and Taylor
-jets along one chosen input coordinate in either mode.
+``forward_array`` is the chunked value pass for detached quadrature and never
+touches a tape.  ``NetField`` evaluates the network on one batch: it runs the
+primal once and extends it to Taylor jets along any input coordinate, with one
+code path whether the parameters are tape leaves (``TapeNet``) or plain numpy
+arrays (``ArrayNet``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .errors import ConfigError
-from .jets import Jet, jet_tanh
+from .jets import Jet, _tanh, tanh_series
 from .sampler import SeededRng
 
 TIME = -1  # coordinate id for the time input
@@ -205,17 +207,19 @@ class TapeNet:
     def __init__(self, tape: Tape, params: MLPParams):
         self.tape = tape
         self.config = params.config
-        layers = params.layers()
-        self.hidden = [(tape.leaf(W), tape.leaf(b)) for W, b in layers[:-1]]
-        W_last, b_last = layers[-1]
-        self.head_w = tape.leaf(W_last[0])
-        self.head_b = tape.leaf(np.asarray(b_last[0]))
+        *hidden, (W_last, b_last) = params.layers()
+        self.hidden = [(self.leaf(W), self.leaf(b)) for W, b in hidden]
+        self.head_w = self.leaf(W_last[0])
+        self.head_b = self.leaf(np.asarray(b_last[0]))
+
+    def leaf(self, value):
+        return self.tape.leaf(value)
 
     def forward(self, X: np.ndarray) -> Var:
-        return self.forward_jet(X, 0, 0).coeffs[0]
+        return NetField.of_inputs(self, X).value()
 
     def forward_jet(self, X, coord, order) -> Jet:
-        return _mlp_jet(self, X, coord, order, tape=self.tape)
+        return NetField.of_inputs(self, X).jet(coord, order)
 
     def grad(self, adjoints) -> np.ndarray:
         """Assemble a flat gradient vector from backward() adjoints."""
@@ -232,95 +236,89 @@ class TapeNet:
         return np.concatenate(parts)
 
 
-class ArrayNet:
+class ArrayNet(TapeNet):
     """Same evaluation API as TapeNet, but over raw numpy values (never recorded)."""
 
     def __init__(self, params: MLPParams):
-        self.config = params.config
-        layers = params.layers()
-        self.hidden = layers[:-1]
-        W_last, b_last = layers[-1]
-        self.head_w = W_last[0]
-        self.head_b = b_last[0]
+        super().__init__(None, params)
 
-    def forward(self, X):
-        return self.forward_jet(X, 0, 0).coeffs[0]
-
-    def forward_jet(self, X, coord, order) -> Jet:
-        return _mlp_jet(self, X, coord, order, tape=None)
+    def leaf(self, value):
+        return value
 
 
-def _mlp_jet(net, X, coord, order, tape) -> Jet:
-    """Jet of the network output along one input coordinate.
+# Layer ops on a tape variable or a numpy array: one code path for both.
 
-    coord: spatial index 0..d-1 or TIME (the last input column).  Order 0 is
-    the plain forward pass expressed through the same path, so coefficient 0
-    is bitwise equal to forward().
-    """
-    if order > 3 or order < 0:
-        raise ConfigError("jets are supported up to order 3")
-    _check_inputs(X)
-    B, in_dim = X.shape
-    col = in_dim - 1 if coord == TIME else coord
-    if col < 0 or col >= in_dim:
-        raise ConfigError("jet coordinate outside the network input")
+def _affine(h, W, b):
+    return h.tape.affine(h, W, b) if isinstance(h, Var) else h @ W.T + b
 
-    coeffs = [None] * (order + 1)
-    coeffs[0] = tape.leaf(X) if tape else X
-    if order >= 1:
-        e = np.zeros((B, in_dim))
-        e[:, col] = 1.0
-        coeffs[1] = tape.leaf(e) if tape else e
 
-    for W, b in net.hidden:
-        z = [None] * (order + 1)
-        if tape:
-            z[0] = tape.affine(coeffs[0], W, b)
-            for k in range(1, order + 1):
-                if coeffs[k] is not None:
-                    z[k] = tape.linear_nb(coeffs[k], W)
-        else:
-            z[0] = coeffs[0] @ W.T + b
-            for k in range(1, order + 1):
-                if coeffs[k] is not None:
-                    z[k] = coeffs[k] @ W.T
-        coeffs = jet_tanh(Jet(z)).coeffs
+def _linear(h, W):
+    return h.tape.linear_nb(h, W) if isinstance(h, Var) else h @ W.T
 
-    out = [None] * (order + 1)
-    if tape:
-        out[0] = tape.project(coeffs[0], net.head_w, net.head_b)
-        for k in range(1, order + 1):
-            if coeffs[k] is not None:
-                out[k] = tape.dotvec(coeffs[k], net.head_w)
-    else:
-        out[0] = coeffs[0] @ net.head_w + net.head_b
-        for k in range(1, order + 1):
-            if coeffs[k] is not None:
-                out[k] = coeffs[k] @ net.head_w
-    return Jet(out)
+
+def _head(h, w, b0):
+    return h.tape.project(h, w, b0) if isinstance(h, Var) else h @ w + b0
+
+
+def _head_linear(h, w):
+    return h.tape.dotvec(h, w) if isinstance(h, Var) else h @ w
 
 
 class NetField:
     """A network restricted to a batch of spatial points at one time.
 
     Supplies the value and directional jets the residual operators consume.
-    Jets are evaluated fresh per request (each operator term records its own
-    subgraph); only the plain value is cached.
+    The primal runs once, on the first request, and keeps each hidden layer's
+    tanh output y (plus 1 - y^2 once a jet needs it); every jet adds only its
+    own coefficients of orders 1..order, and its coefficient 0 is the value.
     """
 
     def __init__(self, net, X_spatial: np.ndarray, t: float):
-        self.net = net
         B, d = X_spatial.shape
+        self.net = net
         self.Xt = np.concatenate([X_spatial, np.full((B, 1), float(t))], axis=1)
+        self._hidden = None  # per hidden layer: [tanh output, 1 - output^2 or None]
         self._value = None
+
+    @classmethod
+    def of_inputs(cls, net, Xt: np.ndarray):
+        """The field over network inputs that already carry their time column."""
+        fld = cls.__new__(cls)
+        fld.net, fld.Xt, fld._hidden, fld._value = net, Xt, None, None
+        return fld
 
     def value(self):
         if self._value is None:
-            self._value = self.net.forward(self.Xt)
+            _check_inputs(self.Xt)
+            h = self.net.leaf(self.Xt)
+            self._hidden = []
+            for W, b in self.net.hidden:
+                h = _tanh(_affine(h, W, b))
+                self._hidden.append([h, None])
+            self._value = _head(h, self.net.head_w, self.net.head_b)
         return self._value
 
     def jet(self, coord, order) -> Jet:
-        return self.net.forward_jet(self.Xt, coord, order)
+        """Jet of the output along coord: a spatial index 0..d-1 or TIME."""
+        if order > 3 or order < 0:
+            raise ConfigError("jets are supported up to order 3")
+        B, in_dim = self.Xt.shape
+        col = in_dim - 1 if coord == TIME else coord
+        if col < 0 or col >= in_dim:
+            raise ConfigError("jet coordinate outside the network input")
+        value = self.value()
+        if order == 0:
+            return Jet([value])
+        e = np.zeros((B, in_dim))
+        e[:, col] = 1.0
+        x = [None, self.net.leaf(e)] + [None] * (order - 1)
+        for layer, (W, _) in zip(self._hidden, self.net.hidden):
+            if layer[1] is None:
+                layer[1] = 1.0 - layer[0] * layer[0]
+            z = [None] + [None if c is None else _linear(c, W) for c in x[1:]]
+            x = tanh_series(z, *layer)
+        return Jet([value] + [None if c is None else _head_linear(c, self.net.head_w)
+                              for c in x[1:]])
 
 
 _MAGIC = b"CPLNET1\x00"

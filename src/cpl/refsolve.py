@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,6 @@ def suggest_dt(problem: PDEProblem, nx):
 
 
 def _pad_reflect(u, width):
-    if u.ndim == 1:
-        return np.pad(u, width, mode="reflect")
     return np.pad(u, width, mode="reflect")
 
 
@@ -294,4 +293,14 @@ def _save_cache(ref, problem, nx, dt, n_snapshots, cache_dir):
         payload["c1_flux"] = ref.c1_flux
     for i, ax in enumerate(ref.axes):
         payload[f"axis{i}"] = ax
-    np.savez(path, **payload)
+    # renamed into place only once complete: never read half-written
+    fd, tmp = tempfile.mkstemp(suffix=".npz", dir=cache_dir)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

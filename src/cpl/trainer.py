@@ -22,7 +22,7 @@ import numpy as np
 
 from . import pde as pdemod
 from .autodiff import Tape
-from .baselines import preflight_grid, uniform_grid
+from .baselines import combined_scalars, uniform_grid
 from .errors import ConfigError, NumericalAbort
 from .net import (ArrayNet, MLPParams, NetField, NetworkConfig, TapeNet,
                   forward_array, init_params)
@@ -182,6 +182,19 @@ class StepPlan:
     batch_n: int = 0
 
 
+def _grid_support(problem: PDEProblem, cfg: TrainConfig):
+    """(points, dv) of the uniform grid closest to cfg.proj_support points."""
+    per_dim = max(2, int(round(cfg.proj_support ** (1.0 / problem.d))))
+    pts, spec = uniform_grid(problem.domain, (per_dim,) * problem.d)
+    return pts, spec.dv
+
+
+def _cloud_support(problem: PDEProblem, cfg: TrainConfig, rng):
+    """(points, dv) of a fresh random support of cfg.proj_support points."""
+    pts = sample_interior(problem.domain, cfg.proj_support, rng)
+    return pts, problem.domain.volume / cfg.proj_support
+
+
 def plan_step(problem: PDEProblem, cfg: TrainConfig, rngs: RngSet,
               fixed_ts=None) -> StepPlan:
     n_l = problem.n_terms
@@ -214,17 +227,11 @@ def plan_step(problem: PDEProblem, cfg: TrainConfig, rngs: RngSet,
 
     supports = None
     if cfg.method == "discrete_proj":
-        supports = []
-        vol = problem.domain.volume
         if cfg.proj_mode == "grid":
-            per_dim = max(2, int(round(cfg.proj_support ** (1.0 / problem.d))))
-            preflight_grid((per_dim,) * problem.d)
-            pts, spec = uniform_grid(problem.domain, (per_dim,) * problem.d)
-            supports = [(pts, spec.dv)] * (len(sizes) + 1)
+            supports = [_grid_support(problem, cfg)] * (len(sizes) + 1)
         else:
-            for _ in range(len(sizes) + 1):
-                pts = sample_interior(problem.domain, cfg.proj_support, rngs.proj)
-                supports.append((pts, vol / cfg.proj_support))
+            supports = [_cloud_support(problem, cfg, rngs.proj)
+                        for _ in range(len(sizes) + 1)]
     return StepPlan(ts=ts, slices=slices, ic_X=ic_X, bc_assign=bc_assign,
                     I=np.asarray(I), J=np.asarray(J), proj_support=supports,
                     batch_n=cfg.batch_n)
@@ -320,11 +327,6 @@ def step_sdifp(params, problem, cfg, plan: StepPlan, smc_points, targets,
     return grad, diag, moments_all
 
 
-def step_soo(params, problem, cfg, plan, smc_points, targets, moments_all=None):
-    """Sampling-once variant; the plan must carry I == J (estimator 'soo')."""
-    return step_sdifp(params, problem, cfg, plan, smc_points, targets, moments_all)
-
-
 def sdifp_coupled_objective(params, problem, cfg, plan, smc_points, targets):
     """Value of the fully-coupled scalar map: 0.5 mean r^2 + weighted IC/BC.
 
@@ -355,29 +357,18 @@ def sdifp_coupled_objective(params, problem, cfg, plan, smc_points, targets):
 # -- baseline steps --------------------------------------------------------------
 
 
-def _discrete_projection_scalars(tape, tn, problem, targets, t_s, support, backprop):
-    """(a, b) of the support-coupled combined projection, recorded on the tape."""
+def _discrete_projection(tn, problem, targets, t_s, support, backprop):
+    """(a, b) of the support-coupled combined projection, recorded on the tape,
+    and the constraint residuals of the projected support values."""
     pts, dv = support
     vol = problem.domain.volume
-    n = pts.shape[0]
     c1, c2, _ = targets.at(t_s)
-    c1 *= vol
-    c2 *= vol
-    radius2 = c2 / dv - c1 * c1 / (n * dv * dv)
-    if radius2 <= 0.0:
-        raise NumericalAbort("infeasible combined-projection targets during training")
     u_sup = NetField(tn, pts, t_s).value()
-    mu = tape.mean(u_sup)
-    centered = u_sup - mu
-    den = tape.sum(centered.pow2())
-    if float(den.value) <= 1e-300:
-        raise NumericalAbort("degenerate (zero-variance) projection support")
-    a_v = (radius2 / den).sqrt()
-    b_v = c1 / (n * dv) - a_v * mu
-    if not backprop:
-        a_v = float(a_v.value)
-        b_v = float(b_v.value)
-    return a_v, b_v
+    a_v, b_v = combined_scalars(u_sup, dv, c1 * vol, c2 * vol)
+    a, b = float(a_v.value), float(b_v.value)
+    y = a * u_sup.value + b
+    residuals = (abs(dv * y.sum() - c1 * vol), abs(dv * (y * y).sum() - c2 * vol))
+    return ((a_v, b_v) if backprop else (a, b)), residuals
 
 
 def step_baseline(params, problem, cfg, plan: StepPlan, targets=None):
@@ -395,8 +386,8 @@ def step_baseline(params, problem, cfg, plan: StepPlan, targets=None):
 
     proj0 = None
     if method == "discrete_proj":
-        proj0 = _discrete_projection_scalars(tape, tn, problem, targets, 0.0,
-                                             plan.proj_support[0], cfg.proj_backprop)
+        proj0, _ = _discrete_projection(tn, problem, targets, 0.0,
+                                        plan.proj_support[0], cfg.proj_backprop)
     ic_field = field_at(plan.ic_X, 0.0, proj0)
     l_ic = pdemod.ic_loss(problem, ic_field, plan.ic_X)
     obj = cfg.w_ic * l_ic
@@ -409,26 +400,16 @@ def step_baseline(params, problem, cfg, plan: StepPlan, targets=None):
         t_s = float(plan.ts[s])
         proj_ab = None
         if method == "discrete_proj":
-            support = plan.proj_support[s + 1]
-            proj_ab = _discrete_projection_scalars(tape, tn, problem, targets, t_s,
-                                                   support, cfg.proj_backprop)
-            av = proj_ab[0] if isinstance(proj_ab[0], float) else float(proj_ab[0].value)
-            bv = proj_ab[1] if isinstance(proj_ab[1], float) else float(proj_ab[1].value)
-            sup_pts, dv = support
-            u_sup = forward_array(params, np.concatenate(
-                [sup_pts, np.full((sup_pts.shape[0], 1), t_s)], axis=1))
-            y = av * u_sup + bv
-            c1t, c2t, _ = targets.at(t_s)
-            proj_residuals.append((abs(dv * y.sum() - c1t * vol),
-                                   abs(dv * (y * y).sum() - c2t * vol)))
+            proj_ab, res = _discrete_projection(tn, problem, targets, t_s,
+                                                plan.proj_support[s + 1], cfg.proj_backprop)
+            proj_residuals.append(res)
         fld = field_at(Xs, t_s, proj_ab)
         r = residual_sampled(problem, fld, range(problem.n_terms), X=Xs, t=t_s)
         chunk = tape.sum(r.pow2()) * (1.0 / plan.batch_n)
         loss_pde_node = chunk if loss_pde_node is None else loss_pde_node + chunk
 
         if method == "soft":
-            raw = NetField(tn, Xs, t_s)
-            u = raw.value()
+            u = fld.value()
             c1_hat = tape.mean(u) * vol
             c2_hat = tape.mean(u.pow2()) * vol
             c1t, c2t, _ = targets.at(t_s)
@@ -482,31 +463,14 @@ def projection_provider(params, problem, cfg, targets, smc_points, rngs):
             return af.alpha, af.beta
         return provide
     if cfg.method == "discrete_proj":
-        grid_support = None
-        if cfg.proj_mode == "grid":
-            per_dim = max(2, int(round(cfg.proj_support ** (1.0 / problem.d))))
-            pts, spec = uniform_grid(problem.domain, (per_dim,) * problem.d)
-            grid_support = (pts, spec.dv)
+        grid = _grid_support(problem, cfg) if cfg.proj_mode == "grid" else None
 
         def provide(t):
-            if grid_support is not None:
-                sup, sup_dv = grid_support
-            else:
-                sup = sample_interior(problem.domain, cfg.proj_support, rngs.eval)
-                sup_dv = vol / cfg.proj_support
+            sup, sup_dv = grid or _cloud_support(problem, cfg, rngs.eval)
             u = forward_array(params, np.concatenate(
                 [sup, np.full((sup.shape[0], 1), float(t))], axis=1))
-            n = u.size
             c1, c2, _ = targets.at(t)
-            c1 *= vol
-            c2 *= vol
-            mu = u.mean()
-            den = float(((u - mu) ** 2).sum())
-            radius2 = c2 / sup_dv - c1 * c1 / (n * sup_dv * sup_dv)
-            if radius2 <= 0.0 or den <= 0.0:
-                raise NumericalAbort("projection degenerate at evaluation")
-            a = np.sqrt(radius2 / den)
-            return a, c1 / (n * sup_dv) - a * mu
+            return combined_scalars(u, sup_dv, c1 * vol, c2 * vol)
         return provide
 
     return lambda t: (1.0, 0.0)

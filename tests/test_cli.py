@@ -122,6 +122,31 @@ def test_sweep_dimension_refuses_above_cap(tmp_path):
     assert "refused" not in lines[1]
 
 
+def test_sweep_records_numerical_abort_as_status_row(tmp_path, monkeypatch):
+    import cpl.cli as climod
+    from cpl.errors import NumericalAbort
+
+    real = climod.run_training
+
+    def flaky(cfg, **kwargs):
+        if cfg.dim == 3:
+            raise NumericalAbort("injected divergence")
+        return real(cfg, **kwargs)
+
+    monkeypatch.setattr(climod, "run_training", flaky)
+    args = ["sweep", "--axis", "dimension", "--values", "2,3,4",
+            "--out", str(tmp_path), "--problem", "sine_gordon_nd",
+            "--method", "sdifp", "--epochs", "1", "--batch-n", "8",
+            "--cloud-m", "128", "--n-time-slices", "1", "--width", "6",
+            "--hidden-layers", "2", "--n-ic", "4", "--n-bc", "4",
+            "--eval-cloud", "128"]
+    assert main(args) == 0
+    lines = (tmp_path / "sweep_dimension.csv").read_text().splitlines()
+    assert lines[0] == "axis,value,error_c1,error_c2,tape_nodes,status"
+    assert [line.split(",")[-1] for line in lines[1:]] == [
+        '"ok"', '"aborted: injected divergence"', '"ok"']
+
+
 def test_sweep_cloud_size_error_decreases(tmp_path):
     args = ["sweep", "--axis", "cloud_size", "--values", "100,10000",
             "--out", str(tmp_path), "--problem", "sine_gordon_nd", "--dim", "1",

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from cpl import net
-from cpl.autodiff import Tape, finite_diff_gradient
+from cpl.autodiff import Tape, Var, finite_diff_gradient
 from cpl.errors import ConfigError
+from cpl.jets import Jet, jet_tanh
 from cpl.net import (TIME, ArrayNet, MLPParams, NetField, NetworkConfig, TapeNet,
                      forward_array, init_params, load_checkpoint, save_checkpoint)
 
@@ -135,6 +136,99 @@ def test_netfield_time_jet():
     um = NetField(an, X, 0.3 - h).value()
     fd = (up - um) / (2 * h)
     assert np.max(np.abs(jet.coeffs[1] - fd)) <= 1e-7
+
+
+def _per_jet_primal_jet(net, X, coord, order, tape):
+    """Reference: every jet re-runs its own primal alongside its coefficients."""
+    B, in_dim = X.shape
+    col = in_dim - 1 if coord == TIME else coord
+    coeffs = [None] * (order + 1)
+    coeffs[0] = tape.leaf(X) if tape is not None else X
+    if order >= 1:
+        e = np.zeros((B, in_dim))
+        e[:, col] = 1.0
+        coeffs[1] = tape.leaf(e) if tape is not None else e
+    for W, b in net.hidden:
+        z = [None] * (order + 1)
+        if tape is not None:
+            z[0] = tape.affine(coeffs[0], W, b)
+            for k in range(1, order + 1):
+                if coeffs[k] is not None:
+                    z[k] = tape.linear_nb(coeffs[k], W)
+        else:
+            z[0] = coeffs[0] @ W.T + b
+            for k in range(1, order + 1):
+                if coeffs[k] is not None:
+                    z[k] = coeffs[k] @ W.T
+        coeffs = jet_tanh(Jet(z)).coeffs
+    out = [None] * (order + 1)
+    if tape is not None:
+        out[0] = tape.project(coeffs[0], net.head_w, net.head_b)
+        for k in range(1, order + 1):
+            if coeffs[k] is not None:
+                out[k] = tape.dotvec(coeffs[k], net.head_w)
+    else:
+        out[0] = coeffs[0] @ net.head_w + net.head_b
+        for k in range(1, order + 1):
+            if coeffs[k] is not None:
+                out[k] = coeffs[k] @ net.head_w
+    return Jet(out)
+
+
+def _field_setup(hidden_layers=3):
+    cfg = NetworkConfig(in_dim=3, hidden_layers=hidden_layers, width=8, seed=13)
+    X = np.random.default_rng(5).random((9, 2)) * 2.0
+    return init_params(cfg), X, 0.35
+
+
+def _value(c):
+    return c.value if isinstance(c, Var) else c
+
+
+def test_netfield_records_each_hidden_primal_once():
+    p, X, t = _field_setup(hidden_layers=3)
+    tape = Tape()
+    fld = NetField(TapeNet(tape, p), X, t)
+    u = fld.value()
+    for coord in (0, TIME):
+        for order in (1, 2, 3):
+            assert fld.jet(coord, order).coeffs[0] is u
+    assert sum(op == "tanh" for op in tape.ops) == 3
+
+
+def test_value_only_pass_has_no_dead_tape_nodes():
+    p, X, t = _field_setup()
+    tape = Tape()
+    root = tape.sum(NetField(TapeNet(tape, p), X, t).value())
+    adj = tape.backward(root)
+    assert [i for i, a in enumerate(adj) if a is None] == []
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_shared_primal_jets_bitwise_equal_per_jet_primal(taped):
+    p, X, t = _field_setup()
+    Xt = np.concatenate([X, np.full((X.shape[0], 1), t)], axis=1)
+    ref_tape = Tape() if taped else None
+    ref_net = TapeNet(ref_tape, p) if taped else ArrayNet(p)
+    tape = Tape() if taped else None
+    fld = NetField(TapeNet(tape, p) if taped else ArrayNet(p), X, t)
+    weights = np.random.default_rng(6).random((3, 4))
+    obj = ref_obj = 0.0
+    for ci, coord in enumerate((0, 1, TIME)):
+        for order in range(4):
+            got = fld.jet(coord, order)
+            ref = _per_jet_primal_jet(ref_net, Xt, coord, order, ref_tape)
+            assert len(got.coeffs) == len(ref.coeffs) == order + 1
+            for k, (g, r) in enumerate(zip(got.coeffs, ref.coeffs)):
+                assert np.array_equal(_value(g), _value(r)), (coord, order, k)
+                if taped:
+                    w = weights[ci, k]
+                    obj = obj + tape.sum(g) * w
+                    ref_obj = ref_obj + ref_tape.sum(r) * w
+    if taped:
+        g = fld.net.grad(tape.backward(obj))
+        g_ref = ref_net.grad(ref_tape.backward(ref_obj))
+        assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
 
 
 def test_non_finite_input_rejected():

@@ -174,3 +174,28 @@ def test_cache_regenerated_on_mismatch(tmp_path):
     np.savez(path, **data)
     ref2 = solve_reference(prob, nx=128, dt=dt, cache_dir=str(tmp_path))
     assert np.array_equal(ref1.snaps, ref2.snaps)
+
+
+def test_cache_save_failing_partway_leaves_no_file(tmp_path, monkeypatch):
+    import os
+    prob = make_problem("advection1d")
+    dt = suggest_dt(prob, 128)
+    ref = solve_reference(prob, nx=128, dt=dt)
+    path = refsolve._cache_path(prob, 128, dt, 65, str(tmp_path))
+
+    def failing_savez(file, **payload):
+        fh = open(file, "wb") if isinstance(file, str) else file
+        fh.write(b"PK\x03\x04 partial archive")
+        fh.flush()
+        raise OSError("disk full")
+
+    monkeypatch.setattr(refsolve.np, "savez", failing_savez)
+    with pytest.raises(OSError):
+        refsolve._save_cache(ref, prob, 128, dt, 65, str(tmp_path))
+    assert not os.path.exists(path)
+    assert os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    refsolve._save_cache(ref, prob, 128, dt, 65, str(tmp_path))
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
+    assert np.array_equal(solve_reference(prob, nx=128, dt=dt, cache_dir=str(tmp_path)).snaps,
+                          ref.snaps)
