@@ -138,22 +138,36 @@ def sobol_points(m, d, skip=0):
 
     Index 0 (the all-zeros point) is skipped on purpose: it sits on the domain
     corner and degrades moment estimates.  Points are emitted in the standard
-    Gray-code order.
+    Gray-code order, by the recurrence x_n = x_{n-1} ^ V[ctz(n)]: the point at
+    index skip+1 is formed bit by bit, and each later point XORs in the
+    direction integer picked by the trailing-zero count of its index, so the
+    cost is O(m d).  The 30-bit table covers indices below 2^30 only, and
+    skip must be >= 0.
     """
     if d < 1:
         raise ConfigError("dimension must be >= 1")
+    if skip < 0 or skip + m >= 2 ** _SOBOL_BITS:
+        raise ConfigError(f"Sobol' indices {skip + 1}..{skip + m} fall outside "
+                          f"1..2^{_SOBOL_BITS}-1, the range the {_SOBOL_BITS}-bit table covers")
     V = _direction_integers(d)
     if m == 0:
         return PointCloud(np.empty((0, d)), "sobol", skip=skip)
-    idx = np.arange(skip + 1, skip + m + 1, dtype=np.uint64)
-    gray = idx ^ (idx >> np.uint64(1))
-    x = np.zeros((m, d), dtype=np.uint64)
+    first = skip + 1
+    gray = first ^ (first >> 1)
+    x = np.empty((m, d), dtype=np.uint64)
+    x[0] = 0
     for bit in range(_SOBOL_BITS):
-        mask = (gray >> np.uint64(bit)) & np.uint64(1)
-        sel = mask.astype(bool)
-        if sel.any():
-            x[sel] ^= V[:, bit][None, :]
-    pts = x.astype(np.float64) * (2.0 ** -_SOBOL_BITS)
+        if (gray >> bit) & 1:
+            x[0] ^= V[:, bit]
+    # ctz(n) for n = skip+2 .. skip+m: each multiple of 2^bit gets bit, and
+    # higher bits overwrite lower ones
+    ctz = np.zeros(m - 1, dtype=np.uint8)
+    for bit in range(1, _SOBOL_BITS):
+        ctz[-(first + 1) % (1 << bit)::1 << bit] = bit
+    np.take(V.T, ctz, axis=0, out=x[1:])
+    np.bitwise_xor.accumulate(x, axis=0, out=x)
+    pts = x.astype(np.float64)
+    pts *= 2.0 ** -_SOBOL_BITS
     return PointCloud(pts, "sobol", skip=skip)
 
 

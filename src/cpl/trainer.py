@@ -567,9 +567,28 @@ class TrainResult:
     problem: PDEProblem = None
 
 
+def _check_holdout_disjoint(cfg: TrainConfig):
+    """Refuse an sdifp run whose advancing cloud would reach the held-out indices.
+
+    The training cloud covers Sobol' indices 1 .. (advances + 1) * cloud_m and
+    advances once per refreshing epoch after the first unless frozen; the
+    held-out cloud covers holdout_skip + 1 .. holdout_skip + eval_cloud.
+    """
+    if cfg.method != "sdifp":
+        return
+    advances = 0 if cfg.freeze_cloud else (cfg.epochs - 1) // max(1, cfg.moment_refresh)
+    last = (advances + 1) * cfg.cloud_m
+    if last > cfg.holdout_skip:
+        raise ConfigError(
+            f"the training cloud reaches Sobol' index {last}, which overlaps the "
+            f"held-out cloud at indices {cfg.holdout_skip + 1}.."
+            f"{cfg.holdout_skip + cfg.eval_cloud}; raise --holdout-skip")
+
+
 def run_training(cfg: TrainConfig, reference="auto", cache_dir=None,
                  log=None) -> TrainResult:
     cfg.validate()
+    _check_holdout_disjoint(cfg)
     problem = build_problem(cfg)
     if reference == "auto":
         reference = ensure_reference(problem, cfg, cache_dir=cache_dir)
@@ -580,8 +599,10 @@ def run_training(cfg: TrainConfig, reference="auto", cache_dir=None,
     rngs = RngSet(cfg.seed)
     opt = OptimizerState.fresh(params.flat.size)
 
+    # only sdifp reads the detached cloud, so the other methods build none
     smc_skip = 0
-    smc = spatial_cloud(cfg.cloud_m, problem.domain, kind="sobol", skip=smc_skip)
+    smc_points = (spatial_cloud(cfg.cloud_m, problem.domain, kind="sobol", skip=0).points
+                  if cfg.method == "sdifp" else None)
 
     metrics = []
     max_nodes = 0
@@ -589,18 +610,18 @@ def run_training(cfg: TrainConfig, reference="auto", cache_dir=None,
     fixed_ts = None
     t_start = time.perf_counter()
     for epoch in range(cfg.epochs):
-        refresh = (epoch % max(1, cfg.moment_refresh) == 0)
-        # the cloud only advances when moments are re-estimated, so cached
-        # moments always describe the cloud in use
-        if (not cfg.freeze_cloud and epoch > 0
-                and (cfg.method != "sdifp" or refresh)):
-            smc_skip += cfg.cloud_m
-            smc = spatial_cloud(cfg.cloud_m, problem.domain, kind="sobol", skip=smc_skip)
         if cfg.method == "sdifp":
+            refresh = (epoch % max(1, cfg.moment_refresh) == 0)
+            # the cloud only advances when moments are re-estimated, so cached
+            # moments always describe the cloud in use
+            if refresh and epoch > 0 and not cfg.freeze_cloud:
+                smc_skip += cfg.cloud_m
+                smc_points = spatial_cloud(cfg.cloud_m, problem.domain, kind="sobol",
+                                           skip=smc_skip).points
             plan = plan_step(problem, cfg, rngs,
                              fixed_ts=None if refresh else fixed_ts)
             grad, diag, moments = step_sdifp(
-                params, problem, cfg, plan, smc.points, targets,
+                params, problem, cfg, plan, smc_points, targets,
                 moments_all=None if refresh else moments_cache)
             if refresh:
                 moments_cache = moments
@@ -615,7 +636,7 @@ def run_training(cfg: TrainConfig, reference="auto", cache_dir=None,
         last = epoch == cfg.epochs - 1
         if (epoch % cfg.eval_every == 0) or last:
             elapsed = time.perf_counter() - t_start
-            rec = evaluate(params, problem, cfg, targets, smc.points, rngs,
+            rec = evaluate(params, problem, cfg, targets, smc_points, rngs,
                            reference=reference, epoch=epoch,
                            tape_nodes=diag.tape_nodes,
                            seconds=elapsed if cfg.timing else 0.0)
@@ -631,7 +652,7 @@ def run_training(cfg: TrainConfig, reference="auto", cache_dir=None,
     affine_table = metrics[-1].affine_table
     if cfg.method == "discrete_proj":
         tgrid = np.linspace(0.0, problem.t_final, 64)
-        provide = projection_provider(params, problem, cfg, targets, smc.points, rngs)
+        provide = projection_provider(params, problem, cfg, targets, smc_points, rngs)
         affine_table = [(float(t),) + tuple(map(float, provide(t))) for t in tgrid]
     return TrainResult(params=params, metrics=metrics, affine_table=affine_table,
                        config=cfg, max_tape_nodes=max_nodes, problem=problem)

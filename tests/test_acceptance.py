@@ -263,6 +263,7 @@ def _final_conservation_error(result):
     return max(m.error_c1, m.error_c2)
 
 
+@pytest.mark.slow
 def test_criterion_06_random_collocation_failure_mode(desk_runs):
     err_sdifp = float(np.mean([_final_conservation_error(r)
                                for r in desk_runs["sdifp"]]))
@@ -276,6 +277,7 @@ def test_criterion_06_random_collocation_failure_mode(desk_runs):
                           f"training {elapsed / 60:.1f}min (< 30min)")
 
 
+@pytest.mark.slow
 def test_criterion_07_solution_accuracy(desk_runs):
     errs = [r.metrics[-1].error_u for r in desk_runs["sdifp"]]
     err_u = float(np.mean(errs))

@@ -68,6 +68,13 @@ def test_bad_method_exit_code(tmp_path):
     assert main(["train", "--out", str(tmp_path), "--method", "warp"]) == 2
 
 
+def test_training_cloud_overlapping_holdout_exit_code(tmp_path):
+    # at the default --holdout-skip 1e8 the advancing cloud reaches the
+    # held-out indices from epoch 1000 on
+    assert main(["train", "--out", str(tmp_path), "--method", "sdifp",
+                 "--cloud-m", "100000", "--epochs", "2000"]) == 2
+
+
 def test_grid_preflight_refusal(tmp_path):
     args = ["train", "--out", str(tmp_path), "--problem", "advection1d",
             "--method", "discrete_proj", "--proj-mode", "grid",

@@ -3,8 +3,9 @@ import pytest
 from scipy.stats import qmc
 
 from cpl.errors import ConfigError
-from cpl.sampler import (Domain, SeededRng, map_to_domain, sample_subsets,
-                         sobol_points, spatial_cloud, uniform_points)
+from cpl.sampler import (_SOBOL_BITS, Domain, SeededRng, _direction_integers,
+                         map_to_domain, sample_subsets, sobol_points, spatial_cloud,
+                         uniform_points)
 
 
 def test_sobol_first_point_1d():
@@ -34,6 +35,44 @@ def test_sobol_in_unit_cube():
 def test_sobol_dimension_cap():
     with pytest.raises(ConfigError):
         sobol_points(4, 65)
+
+
+def _sobol_per_bit(m, d, skip):
+    """Reference: XOR the direction integers of every set Gray-code bit per point."""
+    V = _direction_integers(d)
+    idx = np.arange(skip + 1, skip + m + 1, dtype=np.uint64)
+    gray = idx ^ (idx >> np.uint64(1))
+    x = np.zeros((m, d), dtype=np.uint64)
+    for bit in range(_SOBOL_BITS):
+        sel = ((gray >> np.uint64(bit)) & np.uint64(1)).astype(bool)
+        if sel.any():
+            x[sel] ^= V[:, bit][None, :]
+    return x.astype(np.float64) * (2.0 ** -_SOBOL_BITS)
+
+
+# 2^k - 2 puts index 2^k second in the block, so the recurrence itself XORs in
+# the direction integer of every trailing-zero count up to 29
+_RECURRENCE_SKIPS = sorted({0, 1, 2, 3, 10 ** 8}
+                           | {2 ** k + o for k in range(1, 30) for o in (-2, -1, 0, 1)})
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 64])
+def test_sobol_recurrence_bitwise_equals_per_bit_loop(d):
+    for skip in _RECURRENCE_SKIPS:
+        for m in (0, 1, 2, 100, 4097):
+            mine = sobol_points(m, d, skip=skip).points
+            ref = _sobol_per_bit(m, d, skip)
+            assert mine.shape == (m, d)
+            assert np.array_equal(mine, ref), (d, skip, m)
+
+
+def test_sobol_refuses_indices_outside_table():
+    last = 2 ** _SOBOL_BITS - 1           # the highest index the table covers
+    assert sobol_points(1, 2, skip=last - 1).points.shape == (1, 2)
+    for m, skip in ((1, last), (2, last - 1), (10, 2 ** _SOBOL_BITS), (0, 2 ** _SOBOL_BITS),
+                    (2, -1)):
+        with pytest.raises(ConfigError):
+            sobol_points(m, 2, skip=skip)
 
 
 def test_sobol_reproducible_per_skip():

@@ -493,6 +493,73 @@ class TestRunTraining:
             assert rec.seconds == 0.0  # deterministic timing off by default
 
 
+class TestDetachedCloud:
+    TINY = dict(problem="advection1d", epochs=5, batch_n=8, cloud_m=64,
+                n_time_slices=2, n_ic=4, n_bc=4, width=6, hidden_layers=2,
+                seed=6, eval_every=2, eval_cloud=64, ref_nx=128)
+
+    @staticmethod
+    def _training_clouds(monkeypatch, cfg, ref_cache):
+        """Skips of every cloud run_training builds outside evaluate()."""
+        import cpl.trainer as trainer_mod
+        real_cloud, real_evaluate = trainer_mod.spatial_cloud, trainer_mod.evaluate
+        skips = []
+        in_eval = []
+
+        def counting_cloud(m, domain, kind="sobol", skip=0, rng=None):
+            if not in_eval:
+                skips.append(skip)
+            return real_cloud(m, domain, kind=kind, skip=skip, rng=rng)
+
+        def flagged_evaluate(*args, **kwargs):
+            in_eval.append(True)
+            try:
+                return real_evaluate(*args, **kwargs)
+            finally:
+                in_eval.pop()
+
+        monkeypatch.setattr(trainer_mod, "spatial_cloud", counting_cloud)
+        monkeypatch.setattr(trainer_mod, "evaluate", flagged_evaluate)
+        run_training(cfg, cache_dir=ref_cache)
+        return skips
+
+    @pytest.mark.parametrize("method", ["vanilla", "soft", "discrete_proj"])
+    def test_baselines_build_no_training_cloud(self, monkeypatch, ref_cache, method):
+        cfg = TrainConfig(method=method, **self.TINY)
+        assert self._training_clouds(monkeypatch, cfg, ref_cache) == []
+
+    @pytest.mark.parametrize("refresh,advancing", [(1, [1, 2, 3, 4]), (2, [2, 4])])
+    def test_sdifp_builds_one_cloud_per_refreshing_epoch(self, monkeypatch, ref_cache,
+                                                         refresh, advancing):
+        cfg = TrainConfig(method="sdifp", moment_refresh=refresh, **self.TINY)
+        skips = self._training_clouds(monkeypatch, cfg, ref_cache)
+        # the set-up cloud, then one advance per refreshing epoch after epoch 0
+        assert skips == [0] + [k * cfg.cloud_m for k in range(1, len(advancing) + 1)]
+
+    def test_frozen_sdifp_cloud_is_built_once(self, monkeypatch, ref_cache):
+        cfg = TrainConfig(method="sdifp", freeze_cloud=True, **self.TINY)
+        assert self._training_clouds(monkeypatch, cfg, ref_cache) == [0]
+
+    def test_refuses_training_cloud_reaching_holdout(self):
+        # 2000 epochs of 1e5 points reach the default holdout_skip=1e8 at epoch 1000
+        with pytest.raises(ConfigError, match="held-out"):
+            run_training(TrainConfig(method="sdifp", cloud_m=100_000, epochs=2000))
+
+    def test_holdout_check_counts_only_advancing_epochs(self):
+        from cpl.trainer import _check_holdout_disjoint
+        base = dict(method="sdifp", cloud_m=100_000, holdout_skip=100_000_000)
+        # the last of 1000 epochs ends exactly at index 1e8
+        _check_holdout_disjoint(TrainConfig(epochs=1000, **base))
+        with pytest.raises(ConfigError):
+            _check_holdout_disjoint(TrainConfig(epochs=1001, **base))
+        _check_holdout_disjoint(TrainConfig(epochs=2000, moment_refresh=2, **base))
+        _check_holdout_disjoint(TrainConfig(epochs=2000, freeze_cloud=True, **base))
+        for method in ("vanilla", "soft", "discrete_proj"):
+            _check_holdout_disjoint(TrainConfig(epochs=2000, **{**base, "method": method}))
+        with pytest.raises(ConfigError):
+            _check_holdout_disjoint(TrainConfig(method="sdifp", holdout_skip=0))
+
+
 class TestAdditionalContracts:
     def test_single_term_problem_dsuge_equals_full(self):
         # d=1 drift-diffusion has exactly one (i, j) pair, so subset sampling
