@@ -6,6 +6,12 @@ points simultaneously (the value is then an array over the batch).  Leaves
 are parameters or inputs; ``backward`` runs a single reverse sweep and
 returns one adjoint per node.
 
+Besides the elementwise primitives the tape has structured ops for the
+network layers (``affine``, ``linear_nb``, ``project``, ``dotvec``), for
+reductions (``mean``, ``sum``, ``bsum``) and ``slope``: the 1 - y^2 of a
+``tanh`` node's output, as one node whose value is the partial the tanh node
+already stores.
+
 Node count is the memory proxy used everywhere else: ``num_slots`` counts
 scalar float64 slots across all recorded values, so it grows linearly with
 both the structural size of the graph and the batch width.
@@ -20,7 +26,8 @@ import numpy as np
 PRIMITIVES = ("add", "sub", "mul", "div", "tanh", "sin", "cos", "exp", "sqrt", "pow2")
 
 # structured (non-elementwise) opcodes
-_STRUCTURED = ("leaf", "affine", "linear_nb", "project", "dotvec", "mean", "sum", "bsum")
+_STRUCTURED = ("leaf", "affine", "linear_nb", "project", "dotvec", "mean", "sum", "bsum",
+               "slope")
 
 
 class AdDomainError(ArithmeticError):
@@ -223,6 +230,17 @@ class Tape:
         val = x.value.sum(axis=-1)
         return self._push("bsum", (x.idx,), None, val)
 
+    def tanh_slope(self, y):
+        """1 - y^2 for the output y of a ``tanh`` node, as one node.
+
+        The value is the partial the tanh node already stores (the same bits
+        as ``1.0 - y * y``), and the backward sends ``(a * -1.0) * y`` to y
+        twice, as the ``mul`` + ``sub`` pair it replaces did.
+        """
+        if self.ops[y.idx] != "tanh":
+            raise ValueError("tanh_slope needs the output of a tanh node")
+        return self._push("slope", (y.idx,), None, self.partials[y.idx][0])
+
     # -- reverse sweep ---------------------------------------------------------
 
     def backward(self, root):
@@ -268,6 +286,10 @@ class Tape:
             elif op == "bsum":
                 x = values[par[0]]
                 _acc(adj, par[0], np.broadcast_to(a[..., None], x.shape).copy())
+            elif op == "slope":
+                contrib = (a * -1.0) * values[par[0]]
+                _acc(adj, par[0], contrib)
+                _acc(adj, par[0], contrib)
             else:
                 for p, partial in zip(par, partials[i]):
                     if p is not None:

@@ -43,6 +43,11 @@ def _sqrt(x):
     return x.sqrt() if isinstance(x, Var) else np.sqrt(x)
 
 
+def _tanh_slope(y):
+    """1 - y^2 for y = tanh(x); on a tape, one node sharing the tanh partial."""
+    return y.tape.tanh_slope(y) if isinstance(y, Var) else 1.0 - y * y
+
+
 def _add(a, b):
     if a is None:
         return b
@@ -63,6 +68,14 @@ def _mul(a, b):
     if a is None or b is None:
         return None
     return a * b
+
+
+def _over_k(acc, k):
+    """acc / k as the recurrences form it, acc * (1/k); at k = 1 that product
+    is acc itself, so no node is recorded for it."""
+    if acc is None or k == 1:
+        return acc
+    return acc * (1.0 / k)
 
 
 class Jet:
@@ -175,7 +188,7 @@ def tanh_series(x, y0, w0):
             if cj is None:
                 continue
             acc = _add(acc, _mul(float(j) * cj if j > 1 else cj, w[k - j]))
-        y[k] = None if acc is None else acc * (1.0 / k)
+        y[k] = _over_k(acc, k)
         if k < k_max:
             acc = None
             for j in range(k + 1):
@@ -186,7 +199,7 @@ def tanh_series(x, y0, w0):
 
 def jet_tanh(x: Jet) -> Jet:
     y0 = _tanh(x.coeffs[0])
-    return Jet(tanh_series(x.coeffs, y0, 1.0 - y0 * y0))
+    return Jet(tanh_series(x.coeffs, y0, _tanh_slope(y0)))
 
 
 def jet_exp(x: Jet) -> Jet:
@@ -200,7 +213,7 @@ def jet_exp(x: Jet) -> Jet:
             if cj is None:
                 continue
             acc = _add(acc, _mul(float(j) * cj if j > 1 else cj, e[k - j]))
-        e[k] = None if acc is None else acc * (1.0 / k)
+        e[k] = _over_k(acc, k)
     return Jet(e)
 
 
@@ -220,8 +233,8 @@ def jet_sin_cos(x: Jet):
             term = float(j) * cj if j > 1 else cj
             acc_s = _add(acc_s, _mul(term, c[k - j]))
             acc_c = _add(acc_c, _mul(term, s[k - j]))
-        s[k] = None if acc_s is None else acc_s * (1.0 / k)
-        c[k] = None if acc_c is None else -(acc_c * (1.0 / k))
+        s[k] = _over_k(acc_s, k)
+        c[k] = None if acc_c is None else -_over_k(acc_c, k)
     return Jet(s), Jet(c)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .errors import ConfigError
-from .jets import Jet, _tanh, tanh_series
+from .jets import Jet, _tanh, _tanh_slope, tanh_series
 from .sampler import SeededRng
 
 TIME = -1  # coordinate id for the time input
@@ -127,6 +127,31 @@ def set_blas_threads(n):
     fn = _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
     if fn is not None:
         fn(int(n))
+
+
+_M_TRIM_THRESHOLD = -1  # glibc mallopt parameter numbers
+_M_MMAP_THRESHOLD = -3
+
+
+def pin_heap():
+    """Keep freed memory in the C heap for reuse, where glibc's mallopt exists.
+
+    With glibc's moving defaults a block of a few MiB is served by a fresh
+    mapping, or the free top of the heap that held it is handed back to the
+    system, so forward_array's (chunk, width) buffers page-fault in anew on
+    every call.  Blocks below 64 MiB now come from the heap, and the heap is
+    trimmed only when 256 MiB at its top are free.  Returns whether both
+    settings took; where mallopt is missing it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.restype = ctypes.c_int
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    # a trim threshold alone would also stop glibc from raising its mmap
+    # threshold, so it is set only once the mmap threshold took
+    return bool(mallopt(_M_MMAP_THRESHOLD, 64 << 20) and mallopt(_M_TRIM_THRESHOLD, 256 << 20))
 
 
 def _helper_pool():
@@ -314,7 +339,7 @@ class NetField:
         x = [None, self.net.leaf(e)] + [None] * (order - 1)
         for layer, (W, _) in zip(self._hidden, self.net.hidden):
             if layer[1] is None:
-                layer[1] = 1.0 - layer[0] * layer[0]
+                layer[1] = _tanh_slope(layer[0])
             z = [None] + [None if c is None else _linear(c, W) for c in x[1:]]
             x = tanh_series(z, *layer)
         return Jet([value] + [None if c is None else _head_linear(c, self.net.head_w)

@@ -10,7 +10,6 @@ index-subset sampling.  Everything is reproducible bit-exactly from
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 
@@ -185,19 +184,15 @@ def map_to_domain(cloud: PointCloud, domain: Domain) -> PointCloud:
     return PointCloud(pts, cloud.provenance, seed=cloud.seed, skip=cloud.skip)
 
 
-def spatial_cloud(m, domain: Domain, kind="sobol", skip=0, rng=None):
-    """Convenience: a cloud of spatial points mapped into the domain."""
-    d = domain.dim
-    if kind == "sobol" and d <= _MAX_SOBOL_DIM:
-        cloud = sobol_points(m, d, skip=skip)
-    else:
-        if kind == "sobol":
-            warnings.warn(f"Sobol table capped at d={_MAX_SOBOL_DIM}; "
-                          f"falling back to uniform sampling for d={d}")
-        if rng is None:
-            raise ConfigError("uniform cloud generation requires an rng")
-        cloud = uniform_points(m, d, rng)
-    return map_to_domain(cloud, domain)
+def spatial_cloud(m, domain: Domain, kind="sobol", skip=0):
+    """Convenience: a Sobol' cloud of spatial points mapped into the domain.
+
+    Only ``kind="sobol"`` exists; a domain beyond the direction table (d > 64)
+    is refused, like any other kind, as a configuration error.
+    """
+    if kind != "sobol":
+        raise ConfigError(f"unknown cloud kind {kind!r}; only 'sobol' is supported")
+    return map_to_domain(sobol_points(m, domain.dim, skip=skip), domain)
 
 
 def sample_subsets(n_total, size_i, size_j, rng: SeededRng):

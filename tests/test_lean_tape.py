@@ -1,0 +1,291 @@
+"""The jet tape records one node per tanh slope and none for x1 scalings.
+
+The construction these replaced stays here as the reference: ``1.0 - y * y``
+as a ``mul`` + ``sub`` pair for every tanh slope a jet reads, and
+``acc * (1.0 / k)`` at every order k of the jet recurrences, k = 1 included.
+Swapping it back in must give the same bits: jet coefficients, step losses
+and step gradients alike.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cpl import jets, net, trainer
+from cpl.autodiff import Tape, Var
+from cpl.jets import Jet, jet_exp, jet_sin_cos, jet_tanh
+from cpl.net import TIME, ArrayNet, NetField, NetworkConfig, TapeNet, init_params
+from cpl.projection import TargetInvariants
+from cpl.sampler import spatial_cloud
+from cpl.trainer import RngSet, TrainConfig, build_problem, plan_step, step_baseline, step_sdifp
+
+
+def _old_over_k(acc, k):
+    return None if acc is None else acc * (1.0 / k)
+
+
+def _old_slope(y):
+    return 1.0 - y * y
+
+
+@contextlib.contextmanager
+def old_construction():
+    """Record jets as the mul + sub pair and the x1 nodes did."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "_over_k", _old_over_k)
+        mp.setattr(jets, "_tanh_slope", _old_slope)
+        mp.setattr(net, "_tanh_slope", _old_slope)
+        yield
+
+
+def _bits(c):
+    """The bytes of a coefficient, so that 0.0 and -0.0 differ."""
+    return np.asarray(c.value if isinstance(c, Var) else c, dtype=np.float64).tobytes()
+
+
+def _mul_by_one(tape, ndim=None):
+    """Indices of mul nodes with a constant operand equal to 1.0 (and values
+    of ndim dimensions, where given)."""
+    out = []
+    for i, (op, par, part) in enumerate(zip(tape.ops, tape.parents, tape.partials)):
+        if op != "mul" or (ndim is not None and tape.values[i].ndim != ndim):
+            continue
+        for k in (0, 1):
+            # mul's partial for one operand is the other operand's value
+            if par[k] is None and np.size(part[1 - k]) == 1 and part[1 - k] == 1.0:
+                out.append(i)
+    return out
+
+
+# -- jet coefficients of a network field ---------------------------------------
+
+
+def _field_jets(taped):
+    cfg = NetworkConfig(in_dim=3, hidden_layers=3, width=8, seed=13)
+    p = init_params(cfg)
+    X = np.random.default_rng(5).random((9, 2)) * 2.0
+    tape = Tape() if taped else None
+    fld = NetField(TapeNet(tape, p) if taped else ArrayNet(p), X, 0.35)
+    got = {(coord, order): fld.jet(coord, order)
+           for coord in (0, TIME) for order in range(4)}
+    return tape, fld, got
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_field_jets_bitwise_equal_old_construction(taped):
+    tape, fld, got = _field_jets(taped)
+    with old_construction():
+        ref_tape, ref_fld, ref = _field_jets(taped)
+    for key, jet in got.items():
+        assert len(jet.coeffs) == len(ref[key].coeffs) == key[1] + 1
+        for k, (g, r) in enumerate(zip(jet.coeffs, ref[key].coeffs)):
+            assert _bits(g) == _bits(r), (key, k)
+    if taped:
+        assert len(tape) < len(ref_tape) and tape.num_slots < ref_tape.num_slots
+        weights = np.random.default_rng(6).random((2, 4, 4))
+
+        def objective(t, jets_by_key):
+            obj = 0.0
+            for (coord, order), jet in jets_by_key.items():
+                for k, c in enumerate(jet.coeffs):
+                    obj = obj + t.sum(c) * weights[int(coord == TIME), order, k]
+            return obj
+
+        g = fld.net.grad(tape.backward(objective(tape, got)))
+        g_ref = ref_fld.net.grad(ref_tape.backward(objective(ref_tape, ref)))
+        assert g.tobytes() == g_ref.tobytes()
+
+
+def test_one_slope_node_per_hidden_layer_whatever_the_jets():
+    cfg = NetworkConfig(in_dim=3, hidden_layers=3, width=8, seed=13)
+    tape = Tape()
+    fld = NetField(TapeNet(tape, init_params(cfg)), np.random.default_rng(5).random((9, 2)), 0.35)
+    fld.value()
+    assert "slope" not in tape.ops
+    for coord in (0, 1, TIME):
+        for order in (1, 2, 3):
+            fld.jet(coord, order)
+            slopes = [i for i, op in enumerate(tape.ops) if op == "slope"]
+            assert len(slopes) == 3
+            assert all(tape.ops[tape.parents[i][0]] == "tanh" for i in slopes)
+    assert _mul_by_one(tape) == []
+
+
+# -- training steps --------------------------------------------------------------
+
+# targets only need a positive variance here; the comparison is bit for bit
+TARGETS = TargetInvariants(c1_bar=lambda t: 0.2 + 0.1 * t, c2_bar=lambda t: 0.1 + 0.1 * t)
+
+STEP_CASES = [
+    dict(problem="advection1d", method="sdifp"),
+    dict(problem="advection1d", method="discrete_proj", proj_support=16),
+    dict(problem="advection1d", method="soft"),
+    dict(problem="wave1d", method="vanilla"),
+    dict(problem="kdv1d", method="vanilla"),
+    dict(problem="reaction_diffusion1d", method="vanilla"),
+    dict(problem="fokker_planck_linear_nd", dim=2, method="sdifp", estimator="ds_uge",
+         size_i=2, size_j=2),
+    dict(problem="sine_gordon_nd", dim=2, method="sdifp", estimator="ds_uge",
+         size_i=2, size_j=2),
+    dict(problem="advection2d", method="sdifp", estimator="soo", size_i=2),
+]
+
+
+class RecordingTape(Tape):
+    made = []
+
+    def __init__(self):
+        super().__init__()
+        self.made.append(self)
+
+
+def _step(cfg, monkeypatch):
+    RecordingTape.made = []
+    monkeypatch.setattr(trainer, "Tape", RecordingTape)
+    prob = build_problem(cfg)
+    params = init_params(NetworkConfig(in_dim=prob.d + 1, hidden_layers=cfg.hidden_layers,
+                                       width=cfg.width, seed=cfg.seed))
+    plan = plan_step(prob, cfg, RngSet(cfg.seed))
+    if cfg.method == "sdifp":
+        cloud = spatial_cloud(cfg.cloud_m, prob.domain, kind="sobol", skip=0).points
+        grad, diag, _ = step_sdifp(params, prob, cfg, plan, cloud, TARGETS)
+    else:
+        grad, diag = step_baseline(params, prob, cfg, plan, targets=TARGETS)
+    (tape,) = RecordingTape.made
+    return grad, diag, tape
+
+
+@pytest.mark.parametrize("case", STEP_CASES, ids=lambda c: f"{c['problem']}-{c['method']}-"
+                         f"{c.get('estimator', 'full')}")
+def test_step_bitwise_equal_old_construction(case, monkeypatch):
+    cfg = TrainConfig(batch_n=8, cloud_m=128, n_time_slices=2, n_ic=8, n_bc=8,
+                      width=6, hidden_layers=2, seed=3, **case).validate()
+    grad, diag, tape = _step(cfg, monkeypatch)
+    with old_construction():
+        ref_grad, ref_diag, ref_tape = _step(cfg, monkeypatch)
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert np.float64(diag.loss).tobytes() == np.float64(ref_diag.loss).tobytes()
+    assert diag.tape_nodes < ref_diag.tape_nodes
+    # every network jet coefficient is a (B, width) node; the residual's and the
+    # loss weights' x1.0 nodes on (B,) values and scalars are not jet nodes
+    assert _mul_by_one(tape, ndim=2) == []
+    assert _mul_by_one(ref_tape, ndim=2) != []  # the reference really is the old tape
+
+
+def test_criterion_10_config_tape_nodes_pinned(monkeypatch):
+    """The step tape of `cpl train` at the configuration of acceptance criterion 10."""
+    cfg = TrainConfig(problem="advection1d", method="sdifp", batch_n=25, cloud_m=2000,
+                      n_time_slices=2, width=16, hidden_layers=2, seed=11).validate()
+    assert _step(cfg, monkeypatch)[1].tape_nodes == 21_960
+    with old_construction():
+        assert _step(cfg, monkeypatch)[1].tape_nodes == 28_456
+
+
+# -- property tests at edge values ---------------------------------------------
+
+EDGES = [0.0, -0.0, 25.0, -25.0, 40.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]
+values = st.one_of(st.sampled_from(EDGES),
+                   st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False))
+arrays = st.lists(values, min_size=3, max_size=3).map(lambda v: np.array(v))
+# a coefficient is structurally zero (None) or an array of edge values
+coeff = st.one_of(st.none(), arrays)
+
+
+@st.composite
+def jet_inputs(draw):
+    order = draw(st.integers(1, 3))
+    return [draw(arrays)] + [draw(coeff) for _ in range(order)]
+
+
+def _series(fn, x):
+    if fn == "tanh":
+        return jet_tanh(Jet(x)).coeffs
+    if fn == "exp":
+        return jet_exp(Jet(x)).coeffs
+    s, c = jet_sin_cos(Jet(x))
+    return s.coeffs + c.coeffs
+
+
+def _taped_series(fn, x, weights):
+    """The series over tape leaves: values, leaf adjoints of a weighted sum of
+    the outputs, and the x1.0 nodes the series recorded."""
+    tape = Tape()
+    leaves = [None if c is None else tape.leaf(c) for c in x]
+    out = _series(fn, leaves)
+    by_one = _mul_by_one(tape)
+    obj = 0.0
+    for k, c in enumerate(out):
+        if isinstance(c, Var):
+            obj = obj + tape.sum(c * weights[k % len(weights)])
+    adj = tape.backward(obj) if isinstance(obj, Var) else [None] * len(tape)
+    return ([None if c is None else c.value for c in out],
+            [None if v is None else adj[v.idx] for v in leaves], by_one)
+
+
+def _same(a, b):
+    assert len(a) == len(b)
+    for u, v in zip(a, b):
+        assert (u is None) == (v is None)
+        if u is not None:
+            assert _bits(u) == _bits(v)
+
+
+@pytest.mark.parametrize("fn", ["tanh", "exp", "sin_cos"])
+@settings(max_examples=60, deadline=None)
+@given(x=jet_inputs(), weights=st.lists(values, min_size=1, max_size=4))
+def test_series_bitwise_equal_old_construction(fn, x, weights):
+    with np.errstate(all="ignore"):
+        got = _series(fn, x)
+        vals, adj, by_one = _taped_series(fn, x, weights)
+        with old_construction():
+            ref = _series(fn, x)
+            ref_vals, ref_adj, _ = _taped_series(fn, x, weights)
+    _same(got, ref)
+    _same(vals, ref_vals)
+    _same(adj, ref_adj)
+    assert by_one == []
+
+
+def _slope_sweep(x, w_slope, w_before, w_after, slope):
+    """Sweep a tape that reads y = tanh(x) through its slope and, optionally,
+    through nodes recorded before and after the slope node."""
+    tape = Tape()
+    xv = tape.leaf(x)
+    y = xv.tanh()
+    terms = []
+    if w_before is not None:
+        terms.append(tape.sum(y * w_before))
+    s = slope(y)
+    terms.append(tape.sum(s * w_slope))
+    if w_after is not None:
+        # swept first: y already holds an adjoint when the slope node is swept
+        terms.append(tape.sum(y * w_after))
+    root = terms[0]
+    for term in terms[1:]:
+        root = root + term
+    adj = tape.backward(root)
+    return s.value, adj[xv.idx], adj[y.idx]
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=arrays, w_slope=arrays, w_before=st.one_of(st.none(), arrays),
+       w_after=st.one_of(st.none(), arrays))
+def test_tanh_slope_backward_bitwise_equal_mul_sub(x, w_slope, w_before, w_after):
+    with np.errstate(all="ignore"):
+        got = _slope_sweep(x, w_slope, w_before, w_after, lambda y: y.tape.tanh_slope(y))
+        ref = _slope_sweep(x, w_slope, w_before, w_after, _old_slope)
+    _same(got, ref)
+
+
+def test_tanh_slope_shares_the_tanh_partial():
+    tape = Tape()
+    y = tape.leaf(np.array([0.0, -0.0, 0.5, 25.0])).tanh()
+    s = tape.tanh_slope(y)
+    assert s.value is tape.partials[y.idx][0]
+    assert s.value.tobytes() == (1.0 - y.value * y.value).tobytes()
+    assert s.value[-1] == 0.0
+    with pytest.raises(ValueError):
+        tape.tanh_slope(s)

@@ -1,4 +1,5 @@
 import os
+import resource
 import sys
 import threading
 import time
@@ -427,3 +428,17 @@ def test_forward_array_concurrent_callers_share_the_helper(blas_threads):
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_pinned_heap_keeps_forward_buffers_paged_in():
+    """Unpinned, glibc handed the two (chunk, width) buffers back to the system
+    after each call, and every call faulted about 1,000 pages in anew."""
+    if not net.pin_heap():
+        pytest.skip("the C library has no glibc mallopt")
+    p = init_params(NetworkConfig(in_dim=2, hidden_layers=2, width=64, seed=0))
+    X = np.random.default_rng(0).random((10_000, 2))
+    forward_array(p, X)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        forward_array(p, X)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500

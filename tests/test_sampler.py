@@ -181,9 +181,8 @@ def test_sobol_discrepancy_beats_uniform():
     assert err_u / err_s >= 3.0
 
 
-def test_spatial_cloud_uniform_fallback_warns():
-    dom = Domain((0.0,) * 65, (1.0,) * 65, 1.0)
-    with pytest.warns(UserWarning):
-        cloud = spatial_cloud(16, dom, kind="sobol", rng=SeededRng(1, 1))
-    assert cloud.provenance == "uniform"
-    assert cloud.points.shape == (16, 65)
+def test_spatial_cloud_refuses_other_kinds_and_dims_beyond_the_table():
+    with pytest.raises(ConfigError):
+        spatial_cloud(16, Domain((0.0,) * 65, (1.0,) * 65, 1.0), kind="sobol")
+    with pytest.raises(ConfigError):
+        spatial_cloud(16, Domain((0.0,), (1.0,), 1.0), kind="uniform")

@@ -506,10 +506,10 @@ class TestDetachedCloud:
         skips = []
         in_eval = []
 
-        def counting_cloud(m, domain, kind="sobol", skip=0, rng=None):
+        def counting_cloud(m, domain, kind="sobol", skip=0):
             if not in_eval:
                 skips.append(skip)
-            return real_cloud(m, domain, kind=kind, skip=skip, rng=rng)
+            return real_cloud(m, domain, kind=kind, skip=skip)
 
         def flagged_evaluate(*args, **kwargs):
             in_eval.append(True)
