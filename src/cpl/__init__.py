@@ -6,7 +6,7 @@ Library layout:
 - ``sampler``: Sobol' and uniform point generation, index subsets
 - ``net``: tanh MLP backbone with value/tape/jet evaluation paths
 - ``projection``: closed-form affine functional projection machinery
-- ``baselines``: discrete Riemann-sum projections and the soft penalty
+- ``baselines``: discrete Riemann-sum projections (the soft penalty is in ``trainer``)
 - ``pde``: problem registry and residual operators
 - ``refsolve``: finite-difference reference oracle
 - ``trainer``: per-method training steps, Adam, metrics

@@ -1,10 +1,11 @@
-"""Comparison methods: discrete Euclidean projections and the soft penalty.
+"""Comparison methods: discrete Euclidean projections on grids and clouds.
 
 The projections are the closed-form nearest-point maps onto the Riemann-sum
 constraint sets over a uniform grid (constant volume element ``dv``).
 ``mc_misuse_projection`` applies the same algebra on a random point cloud
 with dv := |X|/n, reproducing the conservation failure that heterogeneous
-quadrature weights cause under mini-batch sampling.
+quadrature weights cause under mini-batch sampling.  The soft-penalty
+baseline lives in ``trainer.step_baseline``, where it is trained.
 """
 
 from __future__ import annotations
@@ -130,15 +131,3 @@ def riemann_invariants(field, dv):
     """Riemann-sum estimates (c1, c2) of the two integrals on a grid/cloud."""
     field = np.asarray(field, dtype=np.float64)
     return dv * float(field.sum()), dv * float((field * field).sum())
-
-
-def soft_constraint_loss(predicted, target, lam):
-    """Penalty lam * mean over time samples of |c - c_hat|^2."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if lam < 0.0:
-        raise ConfigError("penalty weight must be non-negative")
-    if predicted.size == 0:
-        raise ConfigError("need at least one time sample")
-    diff = predicted - target
-    return float(lam) * float((diff * diff).mean())

@@ -47,10 +47,6 @@ class LinearTerm:
         """L_k[1]: nonzero only when the term carries identity atoms."""
         return float(sum(a.coeff for a in self.atoms if a.order == 0))
 
-    def max_order(self, coord):
-        orders = [a.order for a in self.atoms if a.coord == coord and a.order > 0]
-        return max(orders) if orders else 0
-
 
 @dataclass
 class PDEProblem:
@@ -109,10 +105,6 @@ def _require(table, name):
         raise ConfigError(f"problem {name} needs a reference invariant table; "
                           "attach one with attach_invariant_table()")
     return table
-
-
-def invariant_targets(problem: PDEProblem, t):
-    return problem.invariant_targets(t)
 
 
 # -- residual evaluation -------------------------------------------------------
@@ -203,21 +195,6 @@ def neumann_loss(field, coord):
     """Mean squared normal derivative over boundary points on faces normal to coord."""
     du = field.jet(coord, 1).coeffs[1]
     return _mean_sq(du)
-
-
-def ic_bc_loss(problem: PDEProblem, field_factory, ic_points, bc_batch):
-    """Combined data-fit term: IC mismatch plus Neumann-derivative penalty.
-
-    ``field_factory(points, t)`` binds the network (or any field) to a batch;
-    ``bc_batch`` is a list of (t, coord, points) boundary groups.  Group
-    contributions are weighted by their share of the boundary sample.
-    """
-    total = ic_loss(problem, field_factory(ic_points, 0.0), ic_points)
-    n_bc = sum(pts.shape[0] for _, _, pts in bc_batch)
-    for t, coord, pts in bc_batch:
-        lb = neumann_loss(field_factory(pts, t), coord)
-        total = total + lb * (pts.shape[0] / n_bc)
-    return total
 
 
 def _mean_sq(x):

@@ -84,14 +84,7 @@ def estimate_moments(params, cloud_points: np.ndarray, t: float) -> MomentEstima
     The evaluation is a plain numpy forward pass; by construction it cannot
     allocate tape nodes.
     """
-    m = cloud_points.shape[0]
-    if m < 2:
-        raise ValueError("moment estimation needs at least two points")
-    Xt = np.concatenate([cloud_points, np.full((m, 1), float(t))], axis=1)
-    u = netmod.forward_array(params, Xt)
-    mu1 = float(u.mean())
-    mu2 = float((u * u).mean())
-    return MomentEstimate(mu1=mu1, mu2=mu2, m=m, t=float(t))
+    return moments_at_times(params, cloud_points, [t])[0]
 
 
 def moments_at_times(params, cloud_points: np.ndarray, times) -> list:
@@ -125,16 +118,6 @@ def solve_affine(moments: MomentEstimate, targets: TargetInvariants, eps=EPS_FLO
     alpha = float(np.sqrt(v_target / sigma2))
     beta = c1 - alpha * moments.mu1
     return AffineParams(alpha=alpha, beta=beta, t=moments.t)
-
-
-def constraint_residuals(affine: AffineParams, moments: MomentEstimate,
-                         targets: TargetInvariants):
-    """Residuals of the two constraint equations at (alpha, beta)."""
-    c1, c2, _ = targets.at(moments.t)
-    a, b = affine.alpha, affine.beta
-    r1 = a * moments.mu1 + b - c1
-    r2 = a * a * moments.mu2 + 2.0 * a * b * moments.mu1 + b * b - c2
-    return r1, r2
 
 
 def projection_jacobians(moments: MomentEstimate, affine: AffineParams,
@@ -186,13 +169,6 @@ def projected_grad(affine: AffineParams, jac: ProjectionJacobians,
     grad_alpha = jac.da_dmu1 * g1 + jac.da_dmu2 * g2
     grad_beta = jac.db_dmu1 * g1 + jac.db_dmu2 * g2
     return affine.alpha * grad_u_raw + float(u_raw_value) * grad_alpha + grad_beta
-
-
-def apply_projection(value_or_jet, affine: AffineParams):
-    """u~ = alpha * u + beta; for jets only the order-0 coefficient is shifted."""
-    if isinstance(value_or_jet, Jet):
-        return value_or_jet.scale_shift(affine.alpha, affine.beta)
-    return affine.alpha * value_or_jet + affine.beta
 
 
 def same_batch_shift(batch_values: np.ndarray, c1_bar: float):

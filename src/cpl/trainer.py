@@ -438,13 +438,6 @@ def step_baseline(params, problem, cfg, plan: StepPlan, targets=None):
     return grad, diag
 
 
-def memory_account(diagnostics) -> int:
-    """Peak tape slots over the step diagnostics collected so far."""
-    if isinstance(diagnostics, StepDiagnostics):
-        return diagnostics.tape_nodes
-    return max(d.tape_nodes for d in diagnostics)
-
-
 # -- evaluation -------------------------------------------------------------------
 
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import fsolve
 
-from cpl.baselines import (GRID_POINT_CAP, GridSpec, mc_misuse_projection,
-                           preflight_grid, proj_combined, proj_linear,
-                           proj_quadratic, riemann_invariants, soft_constraint_loss,
-                           uniform_grid)
+from cpl.baselines import (GridSpec, mc_misuse_projection, preflight_grid,
+                           proj_combined, proj_linear, proj_quadratic,
+                           riemann_invariants, uniform_grid)
 from cpl.errors import ConfigError, DegenerateField, InfeasibleTargets
 from cpl.sampler import Domain, SeededRng
 
@@ -224,23 +223,6 @@ class TestMisuse:
             means.append(devs.mean())
         slope = np.polyfit(np.log(sizes), np.log(means), 1)[0]
         assert -0.6 <= slope <= -0.4
-
-
-class TestSoftLoss:
-    def test_zero_mismatch(self):
-        assert soft_constraint_loss([1.0, 2.0], [1.0, 2.0], 3.0) == 0.0
-
-    def test_lambda_zero(self):
-        assert soft_constraint_loss([5.0], [1.0], 0.0) == 0.0
-
-    def test_worked_example(self):
-        pred = np.full(5, 3.0)
-        true = np.full(5, 1.0)
-        assert soft_constraint_loss(pred, true, 0.5) == pytest.approx(2.0)
-
-    def test_negative_lambda(self):
-        with pytest.raises(ConfigError):
-            soft_constraint_loss([1.0], [1.0], -0.1)
 
 
 class TestGrid:

@@ -1,7 +1,4 @@
-import os
-
 import numpy as np
-import pytest
 
 from cpl.cli import main, METRICS_HEADER
 
@@ -165,10 +162,6 @@ def test_sweep_cloud_size_error_decreases(tmp_path):
     assert errs[-1] < errs[0]
 
 
-def test_verify_command_passes():
-    assert main(["verify"]) == 0
-
-
 def test_numerical_abort_exit_code(monkeypatch, tmp_path):
     import cpl.cli as climod
     from cpl.errors import NumericalAbort
@@ -201,7 +194,45 @@ def test_sweep_dimension_conservation_column(tmp_path):
     assert all(e <= 1e-2 for e in rel_errs)
 
 
-def test_verify_reports_at_least_25_checks(capsys):
+# the real battery runs once, check by check, in tests/test_checks.py; these
+# tests cover only how `cpl verify` reports and exits
+def _verify_with(monkeypatch, capsys, *outcomes):
+    """Run `cpl verify` over stub checks: True passes, False fails, None raises."""
     from cpl import checks
-    results = checks.run_all(log=None)
-    assert len(results) >= 25
+    calls = []
+
+    def stub(i, ok):
+        def check():
+            calls.append(i)
+            if ok is None:
+                raise RuntimeError(f"check {i} crashed")
+            return checks.CheckResult(f"c{i}", ok, 0.0, 0.0)
+        return check
+    monkeypatch.setattr(checks, "ALL_CHECKS", [stub(i, ok) for i, ok in enumerate(outcomes)])
+    return main(["verify"]), capsys.readouterr().out, calls
+
+
+def test_verify_command_passes(monkeypatch, capsys):
+    code, out, _ = _verify_with(monkeypatch, capsys, True, True)
+    assert code == 0 and out.count("[PASS]") == 2
+    assert "checks run: 2  failed: 0" in out
+
+
+def test_verify_failing_check_exit_code(monkeypatch, capsys):
+    code, out, _ = _verify_with(monkeypatch, capsys, True, False)
+    assert code == 4 and "[FAIL] c1:" in out
+    assert "checks run: 2  failed: 1" in out
+
+
+def test_verify_crashed_check_fails_and_the_rest_still_run(monkeypatch, capsys):
+    code, out, calls = _verify_with(monkeypatch, capsys, None, True)
+    assert code == 4 and calls == [0, 1]
+    assert "[FAIL] check:" in out and "RuntimeError('check 0 crashed')" in out
+    assert "checks run: 2  failed: 1" in out
+
+
+def test_verify_reports_at_least_25_checks():
+    from cpl import checks
+    names = [fn.__name__ for fn in checks.ALL_CHECKS]
+    assert len(names) >= 25
+    assert len(set(names)) == len(names)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpl.autodiff import Tape, finite_diff_gradient
 from cpl.errors import IllPosedTargets
 from cpl.net import ArrayNet, MLPParams, NetworkConfig, forward_array, init_params
 from cpl.jets import Jet
 from cpl.projection import (EPS_FLOOR, AffineField, AffineParams, MomentEstimate,
-                            TargetInvariants, apply_projection, estimate_moments,
+                            TargetInvariants, estimate_moments,
                             fixed_set_shift, moment_grad_estimates, moments_at_times,
                             projected_grad, projection_jacobians, same_batch_shift,
                             solve_affine)
@@ -257,11 +259,14 @@ class TestProjectedGrad:
 
 class TestApplyProjection:
     def test_scalar(self):
-        assert apply_projection(3.0, AffineParams(2.0, -1.0, 0.0)) == 5.0
+        from cpl.pde import AnalyticField
+        base = AnalyticField(lambda X, t: np.full(X.shape[0], 3.0), None, np.zeros((2, 1)), 0.0)
+        assert np.array_equal(AffineField(base, 2.0, -1.0).value(), [5.0, 5.0])
 
     def test_jet(self):
+        # only the order-0 coefficient takes the shift
         jet = Jet([np.float64(1.0), np.float64(0.5), np.float64(0.2)])
-        out = apply_projection(jet, AffineParams(2.0, 1.0, 0.0))
+        out = jet.scale_shift(2.0, 1.0)
         got = [float(c) for c in out.coeffs]
         assert got == pytest.approx([3.0, 1.0, 0.4], abs=1e-15)
 
@@ -348,3 +353,34 @@ def test_exact_conservation_random_nets():
         c1b, c2b, _ = tg.at(t)
         assert abs(ut.mean() - c1b) <= 1e-10 * (1 + abs(c1b))
         assert abs((ut * ut).mean() - c2b) <= 1e-10 * (1 + abs(c2b))
+
+
+_MU1 = st.one_of(st.sampled_from([0.0, -0.0, 1e3, -1e3, 1e6, -1e6]),
+                 st.floats(-1e6, 1e6, allow_nan=False))
+# the floor itself, the next doubles above it, below it, and ordinary spreads
+_VAR = st.one_of(st.sampled_from([EPS_FLOOR, np.nextafter(EPS_FLOOR, 1.0), EPS_FLOOR * (1 + 1e-9),
+                                  2 * EPS_FLOOR, 0.0, 0.5 * EPS_FLOOR]),
+                 st.floats(0.0, 10.0, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu1=_MU1, var=_VAR, c1=st.floats(-10.0, 10.0), v=st.floats(1e-3, 10.0))
+def test_affine_roots_and_jacobians_at_edge_moments(mu1, var, c1, v):
+    mo = MomentEstimate(mu1, mu1 * mu1 + var, 10, 0.0)
+    c2 = c1 * c1 + v
+    af = solve_affine(mo, _targets(c1, c2))
+    jac = projection_jacobians(mo, af)
+    a, b, mu2 = af.alpha, af.beta, mo.mu2
+    assert a > 0
+    assert np.all(np.isfinite([a, b, jac.da_dmu1, jac.da_dmu2, jac.db_dmu1, jac.db_dmu2]))
+    sigma2 = max(mo.variance, EPS_FLOOR)
+    assert jac.da_dmu2 == -a / (2 * sigma2)
+    assert jac.db_dmu1 == -a - mu1 * jac.da_dmu1
+    # roundoff scales with the cancelling terms (large at large |mu1|); below
+    # the floor r2 is a^2 (variance - floor) by design
+    eps = np.finfo(float).eps
+    r1 = a * mu1 + b - c1
+    assert abs(r1) <= 8 * eps * (abs(a * mu1) + abs(c1) + 1)
+    r2 = a * a * mu2 + 2 * a * b * mu1 + b * b - c2
+    expect = a * a * (mo.variance - sigma2)
+    assert abs(r2 - expect) <= 32 * eps * (a * a * mu2 + abs(2 * a * b * mu1) + b * b + c2)

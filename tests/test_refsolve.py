@@ -30,13 +30,6 @@ def test_advection_second_order_convergence(ref_cache):
     assert 3.2 <= errs[0] / errs[1] <= 4.8
 
 
-def test_reaction_diffusion_mass_growth(ref_cache):
-    prob = make_problem("reaction_diffusion1d")
-    ref = solve_reference(prob, nx=512, dt=1e-5, n_snapshots=17, cache_dir=ref_cache)
-    k = prob.constants["k"]
-    assert abs(ref.c1[-1] / ref.c1[0] - np.exp(k * prob.t_final)) <= 1e-4
-
-
 def test_wave_mass_constant(wave_table):
     ts = np.linspace(0.0, 1.0, 11)
     c10 = wave_table.c1(0.0)

@@ -141,31 +141,6 @@ def test_sample_subsets_size_error():
         sample_subsets(3, 4, 2, SeededRng(0, 1))
 
 
-def test_sample_subsets_uniform_frequencies():
-    rng = SeededRng(5, 1)
-    counts = np.zeros(6)
-    trials = 60_000
-    for _ in range(trials):
-        I, _ = sample_subsets(6, 2, 2, rng)
-        counts[I] += 1
-    freq = counts / (2 * trials)
-    assert np.max(np.abs(freq - 1 / 6)) <= 0.01
-
-
-def test_sample_subsets_independence():
-    rng = SeededRng(6, 1)
-    trials = 30_000
-    vi = np.zeros((trials, 6))
-    vj = np.zeros((trials, 6))
-    for k in range(trials):
-        I, J = sample_subsets(6, 2, 2, rng)
-        vi[k, I] = 1
-        vj[k, J] = 1
-    worst = max(abs(float(np.corrcoef(vi[:, a], vj[:, b])[0, 1]))
-                for a in range(6) for b in range(6))
-    assert worst <= 0.02
-
-
 def test_sobol_discrepancy_beats_uniform():
     m = 4096
     sob = sobol_points(m, 2, skip=0).points

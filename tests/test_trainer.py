@@ -12,7 +12,7 @@ from cpl.refsolve import ReferenceSolution
 from cpl.sampler import spatial_cloud
 from cpl.trainer import (MetricsRecord, OptimizerState, RngSet, TrainConfig,
                          adam_update, build_problem, ensure_reference, evaluate,
-                         lr_schedule, memory_account, plan_step, run_training,
+                         lr_schedule, plan_step, run_training,
                          sdifp_coupled_objective, step_baseline, step_sdifp)
 
 
@@ -120,33 +120,6 @@ class TestSdifpStep:
         plan_b.J = np.arange(2)
         gb, _, _ = step_sdifp(params, prob, uge, plan_b, cloud.points, targets)
         assert np.array_equal(ga, gb)
-
-    def test_dsuge_enumeration_unbiased(self):
-        prob = make_problem("fokker_planck_linear_nd", dim=2)  # 4 terms
-        targets = prob.domain_averaged_targets()
-        tc = TrainConfig(problem="fokker_planck_linear_nd", dim=2, method="sdifp",
-                         estimator="ds_uge", size_i=2, size_j=2, batch_n=6,
-                         cloud_m=256, n_time_slices=2, n_ic=6, n_bc=6,
-                         width=6, hidden_layers=2, seed=7).validate()
-        net_cfg, params = _params(2, seed=7)
-        cloud = spatial_cloud(256, prob.domain, kind="sobol", skip=0)
-        plan = plan_step(prob, tc, RngSet(8))
-        full = copy.copy(plan)
-        full.I = np.arange(4)
-        full.J = np.arange(4)
-        g_full, _, moments = step_sdifp(params, prob, tc, full, cloud.points, targets)
-        acc = []
-        for I in itertools.combinations(range(4), 2):
-            for J in itertools.combinations(range(4), 2):
-                pl = copy.copy(plan)
-                pl.I = np.asarray(I)
-                pl.J = np.asarray(J)
-                g, _, _ = step_sdifp(params, prob, tc, pl, cloud.points, targets,
-                                     moments_all=moments)
-                acc.append(g)
-        rel = (np.max(np.abs(np.mean(np.stack(acc), axis=0) - g_full))
-               / max(np.max(np.abs(g_full)), 1e-30))
-        assert rel <= 1e-12
 
     def test_soo_full_set_equals_full(self):
         prob = make_problem("fokker_planck_linear_nd", dim=2)
@@ -379,14 +352,6 @@ class TestMemoryAccounting:
         ss_tot = float(((slots - slots.mean()) ** 2).sum())
         assert 1.0 - ss_res / ss_tot >= 0.99
 
-    def test_memory_account_helper(self):
-        from cpl.trainer import StepDiagnostics
-        d1 = StepDiagnostics(0, 0, 0, 0, 100, [])
-        d2 = StepDiagnostics(0, 0, 0, 0, 250, [])
-        assert memory_account(d1) == 100
-        assert memory_account([d1, d2]) == 250
-
-
 class TestEvaluate:
     def test_error_u_zero_against_own_field(self, advection_table):
         prob = _prob_with_table("advection1d", advection_table)
@@ -611,30 +576,3 @@ class TestAdditionalContracts:
 
             fd = (f(params.flat + h * v) - f(params.flat - h * v)) / (2 * h)
             assert abs(float(g @ v) - fd) / max(1e-9, abs(fd)) <= 1e-5
-
-    def test_combined_ic_bc_loss_contract(self, advection_table):
-        from cpl.pde import AnalyticField, ic_bc_loss
-        prob = _prob_with_table("advection1d", advection_table)
-        X = np.linspace(0.1, 1.9, 10)[:, None]
-        bcs = [(0.2, 0, np.array([[0.0], [2.0]]))]
-
-        def factory_exact(pts, t):
-            def g(Xp, tt):
-                return prob.u0(Xp)
-
-            def dg(Xp, tt, coord, order):
-                return np.zeros(Xp.shape[0])  # flat in every direction
-
-            return AnalyticField(g, dg, pts, t)
-
-        # value match at t=0 and zero normal derivative: loss vanishes
-        assert ic_bc_loss(prob, factory_exact, X, bcs) == 0.0
-
-        net_cfg, params = _params(1, seed=19)
-        an = ArrayNet(params)
-
-        def factory_net(pts, t):
-            return NetField(an, pts, t)
-
-        loss = ic_bc_loss(prob, factory_net, X, bcs)
-        assert np.isfinite(loss) and loss > 0.0
