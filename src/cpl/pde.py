@@ -109,6 +109,12 @@ def _require(table, name):
 
 # -- residual evaluation -------------------------------------------------------
 
+def scaled(w, x):
+    """w * x, or x itself when w is exactly 1.0: x * 1.0 == x bit for bit, so a
+    tape records no node for it."""
+    return x if w == 1.0 else w * x
+
+
 def term_value(term: LinearTerm, field):
     """Evaluate one linear term on a field batch.
 
@@ -130,7 +136,7 @@ def term_value(term: LinearTerm, field):
             c = jet.coeffs[a.order]
             if c is None:
                 continue
-            contrib = (a.coeff * _FACT[a.order]) * c
+            contrib = scaled(a.coeff * _FACT[a.order], c)
             acc = contrib if acc is None else acc + contrib
     return acc
 
@@ -140,11 +146,11 @@ def nonlinear_value(problem: PDEProblem, field):
         return None
     if problem.nonlinear == "conv_self":
         du = field.jet(0, 1).coeffs[1]
-        return problem.nonlinear_coeff * (field.value() * du)
+        return scaled(problem.nonlinear_coeff, field.value() * du)
     if problem.nonlinear == "sin":
         v = field.value()
         s = v.sin() if hasattr(v, "sin") else np.sin(v)
-        return problem.nonlinear_coeff * s
+        return scaled(problem.nonlinear_coeff, s)
     raise ConfigError(f"unknown nonlinear tag {problem.nonlinear!r}")
 
 
@@ -165,8 +171,8 @@ def residual_sampled(problem: PDEProblem, field, index_set, X=None, t=None):
         if tv is None:
             continue
         acc = tv if acc is None else acc + tv
-    if acc is not None and scale != 1.0:
-        acc = scale * acc
+    if acc is not None:
+        acc = scaled(scale, acc)
     nl = nonlinear_value(problem, field)
     if nl is not None:
         acc = nl if acc is None else acc + nl

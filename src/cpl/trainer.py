@@ -26,7 +26,7 @@ from .baselines import combined_scalars, uniform_grid
 from .errors import ConfigError, NumericalAbort
 from .net import (ArrayNet, MLPParams, NetField, NetworkConfig, TapeNet,
                   forward_array, init_params)
-from .pde import PDEProblem, boundary_groups, neumann_loss, residual_sampled
+from .pde import PDEProblem, boundary_groups, neumann_loss, residual_sampled, scaled
 from .projection import (AffineField, estimate_moments, moments_at_times,
                          projection_jacobians, solve_affine)
 from .sampler import SeededRng, sample_subsets, spatial_cloud
@@ -75,8 +75,12 @@ class TrainConfig:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}")
         if self.method != "sdifp" and self.estimator != "full":
             raise ConfigError("index-subset estimators apply to the sdifp method only")
-        if self.epochs < 1 or self.batch_n < 1:
-            raise ConfigError("epochs and batch size must be positive")
+        if min(self.epochs, self.batch_n, self.eval_every, self.n_ic, self.eval_cloud) < 1:
+            raise ConfigError("epochs, batch_n, eval_every, n_ic and eval_cloud must be positive")
+        if min(self.cloud_m, self.proj_support) < 2:
+            raise ConfigError("cloud_m and proj_support must be at least 2")
+        if min(self.size_i, self.size_j) < 0:
+            raise ConfigError("size_i and size_j must not be negative")
         if self.proj_mode not in ("grid", "cloud"):
             raise ConfigError("proj_mode must be 'grid' or 'cloud'")
         return self
@@ -127,12 +131,7 @@ class MetricsRecord:
 @dataclass
 class StepDiagnostics:
     loss: float
-    loss_pde: float
-    loss_ic: float
-    loss_bc: float
     tape_nodes: int
-    slice_times: list
-    affines: list = dfield(default_factory=list)
     proj_residuals: list = dfield(default_factory=list)
     value_evals: int = 0
 
@@ -237,94 +236,98 @@ def plan_step(problem: PDEProblem, cfg: TrainConfig, rngs: RngSet,
                     batch_n=cfg.batch_n)
 
 
+# -- plan walk shared by every step ------------------------------------------------
+
+
+def record_plan(tn, problem, cfg, plan: StepPlan, project, slice_loss):
+    """Record one plan's losses on tn's tape: (objective, l_ic, l_pde, l_bc, raw).
+
+    ``project(k, t)`` gives the (alpha, beta) of slice k, or None for the raw
+    field; slice 0 is the IC slice at t = 0, slice k >= 1 is plan slice k - 1,
+    and the projection applies to every field of its slice.  ``slice_loss(s,
+    field, X, t)`` records plan slice s's residual loss.  The objective is
+    w_ic * l_ic + l_pde + w_bc * l_bc (l_bc is None without boundary points),
+    and raw holds each slice's raw field, the IC slice first.
+    """
+    def field(base, ab):
+        return base if ab is None else AffineField(base, *ab)
+
+    ab = project(0, 0.0)
+    raw = [NetField(tn, plan.ic_X, 0.0)]
+    l_ic = pdemod.ic_loss(problem, field(raw[0], ab), plan.ic_X)
+    l_pde = l_bc = None
+    for s, Xs in enumerate(plan.slices):
+        t_s = float(plan.ts[s])
+        ab = project(s + 1, t_s)
+        raw.append(NetField(tn, Xs, t_s))
+        chunk = slice_loss(s, field(raw[-1], ab), Xs, t_s)
+        l_pde = chunk if l_pde is None else l_pde + chunk
+        for coord, pts in plan.bc_assign.get(s, ()):
+            lb = scaled(pts.shape[0] / cfg.n_bc,
+                        neumann_loss(field(NetField(tn, pts, t_s), ab), coord))
+            l_bc = lb if l_bc is None else l_bc + lb
+    obj = scaled(cfg.w_ic, l_ic) + l_pde
+    if l_bc is not None:
+        obj = obj + scaled(cfg.w_bc, l_bc)
+    return obj, l_ic, l_pde, l_bc, raw
+
+
 # -- projected-method step -----------------------------------------------------
 
 
 def step_sdifp(params, problem, cfg, plan: StepPlan, smc_points, targets,
                moments_all=None):
-    """One gradient estimate of the projected method: (gradient, diagnostics)."""
-    all_times = np.concatenate([[0.0], plan.ts])
+    """One gradient estimate of the projected method: (gradient, diagnostics, moments)."""
     if moments_all is None:
-        moments_all = moments_at_times(params, smc_points, all_times)
+        moments_all = moments_at_times(params, smc_points, np.concatenate([[0.0], plan.ts]))
     affines = [solve_affine(mo, targets) for mo in moments_all]
-    jacs = [projection_jacobians(mo, af) for mo, af in zip(moments_all, affines)]
-
     tape = Tape()
     tn = TapeNet(tape, params)
     anet = ArrayNet(params)
+    leaves = []                   # (alpha, beta) leaves per slice, the IC slice first
+    loss_pde, value_evals = 0.0, 0
 
-    slice_records = []
-    loss_pde = 0.0
-    value_evals = 0
+    def project(k, t):
+        leaves.append((tape.leaf(affines[k].alpha), tape.leaf(affines[k].beta)))
+        return leaves[-1]
 
-    # initial-condition slice at t = 0
-    a0 = tape.leaf(affines[0].alpha)
-    b0 = tape.leaf(affines[0].beta)
-    ic_base = NetField(tn, plan.ic_X, 0.0)
-    ic_field = AffineField(ic_base, a0, b0)
-    l_ic = pdemod.ic_loss(problem, ic_field, plan.ic_X)
-    obj = cfg.w_ic * l_ic
-    slice_records.append((a0, b0, tape.mean(ic_base.value()),
-                          tape.mean(ic_base.value().pow2()), jacs[0]))
-
-    l_bc_acc = None
-    for s, Xs in enumerate(plan.slices):
-        t_s = float(plan.ts[s])
-        af = affines[s + 1]
-        a_v = tape.leaf(af.alpha)
-        b_v = tape.leaf(af.beta)
-
-        base = NetField(tn, Xs, t_s)
-        fld = AffineField(base, a_v, b_v)
-
-        g_bwd = residual_sampled(problem, fld, plan.I, X=Xs, t=t_s)   # tape node (Bs,)
+    def slice_loss(s, fld, X, t):
+        nonlocal loss_pde, value_evals
+        g_bwd = residual_sampled(problem, fld, plan.I, X=X, t=t)        # tape node (Bs,)
         if np.array_equal(plan.I, plan.J):
             # sampling-once: the forward factor reuses the recorded values
             f_fwd = np.array(g_bwd.value)
         else:
-            vfld = AffineField(NetField(anet, Xs, t_s), af.alpha, af.beta)
-            f_fwd = residual_sampled(problem, vfld, plan.J, X=Xs, t=t_s)  # detached
+            af = affines[s + 1]
+            vfld = AffineField(NetField(anet, X, t), af.alpha, af.beta)
+            f_fwd = residual_sampled(problem, vfld, plan.J, X=X, t=t)  # detached
             value_evals += len(plan.J)
         _finite(f_fwd, "forward residual factor")
-        obj = obj + tape.sum(g_bwd * f_fwd) * (1.0 / plan.batch_n)
         loss_pde += float((f_fwd * f_fwd).sum()) / plan.batch_n
+        return scaled(1.0 / plan.batch_n, tape.sum(g_bwd * f_fwd))
 
-        slice_records.append((a_v, b_v, tape.mean(base.value()),
-                              tape.mean(base.value().pow2()), jacs[s + 1]))
-
-        for coord, pts in plan.bc_assign.get(s, ()):
-            bfld = AffineField(NetField(tn, pts, t_s), a_v, b_v)
-            lb = neumann_loss(bfld, coord) * (pts.shape[0] / cfg.n_bc)
-            l_bc_acc = lb if l_bc_acc is None else l_bc_acc + lb
-
-    if l_bc_acc is not None:
-        obj = obj + cfg.w_bc * l_bc_acc
-
+    obj, l_ic, _, l_bc, raw = record_plan(tn, problem, cfg, plan, project, slice_loss)
     adj = tape.backward(obj)
-    g_direct = tn.grad(adj)
+    grad = tn.grad(adj)
 
     # implicit channel: adjoints of the projection scalars, pushed through the
-    # analytical Jacobians onto the mini-batch moment nodes, one extra sweep
+    # analytical Jacobians onto the mini-batch moment nodes, one extra sweep;
+    # the first sweep never reaches these nodes, so they are recorded after it
     obj2 = None
-    for a_v, b_v, mu1_n, mu2_n, jac in slice_records:
-        a_adj = adj[a_v.idx]
-        b_adj = adj[b_v.idx]
-        a_adj = 0.0 if a_adj is None else float(a_adj)
-        b_adj = 0.0 if b_adj is None else float(b_adj)
-        w1 = a_adj * jac.da_dmu1 + b_adj * jac.db_dmu1
-        w2 = a_adj * jac.da_dmu2 + b_adj * jac.db_dmu2
-        term = mu1_n * w1 + mu2_n * w2
+    for (a_v, b_v), base, mo, af in zip(leaves, raw, moments_all, affines):
+        jac = projection_jacobians(mo, af)
+        a_adj, b_adj = (0.0 if adj[v.idx] is None else float(adj[v.idx]) for v in (a_v, b_v))
+        mu1 = tape.mean(base.value())
+        mu2 = tape.mean(base.value().pow2())
+        term = (mu1 * (a_adj * jac.da_dmu1 + b_adj * jac.db_dmu1)
+                + mu2 * (a_adj * jac.da_dmu2 + b_adj * jac.db_dmu2))
         obj2 = term if obj2 is None else obj2 + term
-    g_implicit = tn.grad(tape.backward(obj2))
+    grad += tn.grad(tape.backward(obj2))
 
-    grad = _finite(g_direct + g_implicit, "sdifp gradient")
-    l_ic_v = float(l_ic.value)
-    l_bc_v = 0.0 if l_bc_acc is None else float(l_bc_acc.value)
-    diag = StepDiagnostics(loss=loss_pde + cfg.w_ic * l_ic_v + cfg.w_bc * l_bc_v,
-                           loss_pde=loss_pde, loss_ic=l_ic_v, loss_bc=l_bc_v,
-                           tape_nodes=tape.num_slots, slice_times=list(all_times),
-                           affines=affines, value_evals=value_evals)
-    return grad, diag, moments_all
+    l_bc = 0.0 if l_bc is None else float(l_bc.value)
+    diag = StepDiagnostics(loss=loss_pde + cfg.w_ic * float(l_ic.value) + cfg.w_bc * l_bc,
+                           tape_nodes=tape.num_slots, value_evals=value_evals)
+    return _finite(grad, "sdifp gradient"), diag, moments_all
 
 
 def sdifp_coupled_objective(params, problem, cfg, plan, smc_points, targets):
@@ -373,69 +376,40 @@ def _discrete_projection(tn, problem, targets, t_s, support, backprop):
 
 def step_baseline(params, problem, cfg, plan: StepPlan, targets=None):
     """Full-tape gradient of the composite loss for vanilla / soft / discrete_proj."""
-    method = cfg.method
     tape = Tape()
     tn = TapeNet(tape, params)
     vol = problem.domain.volume
-
-    def field_at(pts, t_s, proj_ab):
-        base = NetField(tn, pts, t_s)
-        if proj_ab is None:
-            return base
-        return AffineField(base, proj_ab[0], proj_ab[1])
-
-    proj0 = None
-    if method == "discrete_proj":
-        proj0, _ = _discrete_projection(tn, problem, targets, 0.0,
-                                        plan.proj_support[0], cfg.proj_backprop)
-    ic_field = field_at(plan.ic_X, 0.0, proj0)
-    l_ic = pdemod.ic_loss(problem, ic_field, plan.ic_X)
-    obj = cfg.w_ic * l_ic
-
-    loss_pde_node = None
-    l_bc_acc = None
+    proj_residuals = []           # per plan slice, not the IC slice
     soft_pen = None
-    proj_residuals = []
-    for s, Xs in enumerate(plan.slices):
-        t_s = float(plan.ts[s])
-        proj_ab = None
-        if method == "discrete_proj":
-            proj_ab, res = _discrete_projection(tn, problem, targets, t_s,
-                                                plan.proj_support[s + 1], cfg.proj_backprop)
-            proj_residuals.append(res)
-        fld = field_at(Xs, t_s, proj_ab)
-        r = residual_sampled(problem, fld, range(problem.n_terms), X=Xs, t=t_s)
-        chunk = tape.sum(r.pow2()) * (1.0 / plan.batch_n)
-        loss_pde_node = chunk if loss_pde_node is None else loss_pde_node + chunk
 
-        if method == "soft":
+    def project(k, t):
+        if cfg.method != "discrete_proj":
+            return None
+        ab, res = _discrete_projection(tn, problem, targets, t, plan.proj_support[k],
+                                       cfg.proj_backprop)
+        if k:
+            proj_residuals.append(res)
+        return ab
+
+    def slice_loss(s, fld, X, t):
+        nonlocal soft_pen
+        r = residual_sampled(problem, fld, range(problem.n_terms), X=X, t=t)
+        chunk = scaled(1.0 / plan.batch_n, tape.sum(r.pow2()))
+        if cfg.method == "soft":
             u = fld.value()
             c1_hat = tape.mean(u) * vol
             c2_hat = tape.mean(u.pow2()) * vol
-            c1t, c2t, _ = targets.at(t_s)
+            c1t, c2t, _ = targets.at(t)
             pen = (c1_hat - c1t * vol).pow2() + (c2_hat - c2t * vol).pow2()
             soft_pen = pen if soft_pen is None else soft_pen + pen
+        return chunk
 
-        for coord, pts in plan.bc_assign.get(s, ()):
-            bfld = field_at(pts, t_s, proj_ab)
-            lb = neumann_loss(bfld, coord) * (pts.shape[0] / cfg.n_bc)
-            l_bc_acc = lb if l_bc_acc is None else l_bc_acc + lb
-
-    obj = obj + loss_pde_node
-    if l_bc_acc is not None:
-        obj = obj + cfg.w_bc * l_bc_acc
+    obj, *_ = record_plan(tn, problem, cfg, plan, project, slice_loss)
     if soft_pen is not None:
-        obj = obj + soft_pen * (cfg.lam_soft / len(plan.slices))
-
-    adj = tape.backward(obj)
-    grad = _finite(tn.grad(adj), f"{method} gradient")
-    diag = StepDiagnostics(loss=float(obj.value), loss_pde=float(loss_pde_node.value),
-                           loss_ic=float(l_ic.value),
-                           loss_bc=0.0 if l_bc_acc is None else float(l_bc_acc.value),
-                           tape_nodes=tape.num_slots,
-                           slice_times=[0.0] + list(plan.ts),
-                           proj_residuals=proj_residuals)
-    return grad, diag
+        obj = obj + scaled(cfg.lam_soft / len(plan.slices), soft_pen)
+    grad = _finite(tn.grad(tape.backward(obj)), f"{cfg.method} gradient")
+    return grad, StepDiagnostics(loss=float(obj.value), tape_nodes=tape.num_slots,
+                                 proj_residuals=proj_residuals)
 
 
 # -- evaluation -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cpl.cli import main, METRICS_HEADER
 
@@ -10,8 +11,8 @@ FAST_TRAIN = ["--problem", "advection1d", "--method", "sdifp", "--epochs", "4",
               "--seed", "7"]
 
 
-def _run_train(out):
-    return main(["train", "--out", str(out)] + FAST_TRAIN)
+def _run_train(out, *flags):
+    return main(["train", "--out", str(out)] + FAST_TRAIN + list(flags))
 
 
 def test_train_writes_artifacts(tmp_path):
@@ -27,12 +28,13 @@ def test_train_writes_artifacts(tmp_path):
     assert len(affine) == 65
 
 
-def test_train_determinism_byte_identical(tmp_path):
-    assert _run_train(tmp_path / "a") == 0
-    assert _run_train(tmp_path / "b") == 0
-    a = (tmp_path / "a" / "metrics.csv").read_bytes()
-    b = (tmp_path / "b" / "metrics.csv").read_bytes()
-    assert a == b
+# discrete_proj's cloud supports are drawn from the proj and eval streams
+@pytest.mark.parametrize("method", ["sdifp", "soft", "discrete_proj"])
+def test_train_determinism_byte_identical(tmp_path, method):
+    assert _run_train(tmp_path / "a", "--method", method) == 0
+    assert _run_train(tmp_path / "b", "--method", method) == 0
+    for name in ("metrics.csv", "affine_table.csv", "checkpoint.bin"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):
@@ -61,8 +63,17 @@ def test_unknown_config_key_rejected(tmp_path):
     assert main(["train", "--config", str(cfg)]) == 2
 
 
-def test_bad_method_exit_code(tmp_path):
-    assert main(["train", "--out", str(tmp_path), "--method", "warp"]) == 2
+@pytest.mark.parametrize("flags", [
+    ["--method", "warp"],
+    ["--eval-every", "0"],
+    ["--n-ic", "0"],
+    ["--eval-cloud", "0"],
+    ["--cloud-m", "1"],
+    ["--proj-support", "0", "--method", "discrete_proj"],
+    ["--size-i", "-1", "--estimator", "ds_uge"],
+], ids=lambda flags: "_".join(f.lstrip("-") for f in flags))
+def test_bad_method_exit_code(tmp_path, flags):
+    assert main(["train", "--out", str(tmp_path)] + flags) == 2
 
 
 def test_training_cloud_overlapping_holdout_exit_code(tmp_path):

@@ -1,4 +1,5 @@
-"""The jet tape records one node per tanh slope and none for x1 scalings.
+"""The jet tape records one node per tanh slope and none for x1 scalings, and
+no step tape records a multiplication by 1.0.
 
 The construction these replaced stays here as the reference: ``1.0 - y * y``
 as a ``mul`` + ``sub`` pair for every tanh slope a jet reads, and
@@ -169,19 +170,48 @@ def test_step_bitwise_equal_old_construction(case, monkeypatch):
     assert grad.tobytes() == ref_grad.tobytes()
     assert np.float64(diag.loss).tobytes() == np.float64(ref_diag.loss).tobytes()
     assert diag.tape_nodes < ref_diag.tape_nodes
-    # every network jet coefficient is a (B, width) node; the residual's and the
-    # loss weights' x1.0 nodes on (B,) values and scalars are not jet nodes
-    assert _mul_by_one(tape, ndim=2) == []
-    assert _mul_by_one(ref_tape, ndim=2) != []  # the reference really is the old tape
+    # no x1.0 node anywhere on the step tape: jets, residual terms and loss weights
+    assert _mul_by_one(tape) == []
+    # every network jet coefficient is a (B, width) node: the reference really
+    # is the old jet construction
+    assert _mul_by_one(ref_tape, ndim=2) != []
 
 
 def test_criterion_10_config_tape_nodes_pinned(monkeypatch):
     """The step tape of `cpl train` at the configuration of acceptance criterion 10."""
     cfg = TrainConfig(problem="advection1d", method="sdifp", batch_n=25, cloud_m=2000,
                       n_time_slices=2, width=16, hidden_layers=2, seed=11).validate()
-    assert _step(cfg, monkeypatch)[1].tape_nodes == 21_960
+    assert _step(cfg, monkeypatch)[1].tape_nodes == 21_908
     with old_construction():
-        assert _step(cfg, monkeypatch)[1].tape_nodes == 28_456
+        assert _step(cfg, monkeypatch)[1].tape_nodes == 28_404
+
+
+# each method's step tape at one small configuration; a count moves only when a
+# step records one node more or one fewer
+TAPE_PINS = [
+    pytest.param(dict(method="vanilla"), 1_605, id="vanilla"),
+    pytest.param(dict(method="soft"), 1_634, id="soft"),
+    pytest.param(dict(method="discrete_proj", proj_mode="grid", proj_support=16), 3_103,
+                 id="discrete-grid"),
+    pytest.param(dict(method="discrete_proj", proj_support=16), 3_103, id="discrete-cloud"),
+    pytest.param(dict(method="discrete_proj", proj_support=16, proj_backprop=False), 3_103,
+                 id="discrete-no-backprop"),
+    pytest.param(dict(method="sdifp"), 1_732, id="sdifp-full"),
+    pytest.param(dict(method="sdifp", estimator="ds_uge", size_i=1, size_j=1), 1_492,
+                 id="sdifp-ds_uge"),
+    pytest.param(dict(method="sdifp", estimator="soo", size_i=1), 1_492, id="sdifp-soo"),
+]
+
+
+@pytest.mark.parametrize("case,slots", TAPE_PINS)
+def test_step_tape_nodes_pinned(case, slots, monkeypatch):
+    cfg = TrainConfig(problem="advection1d", batch_n=8, cloud_m=128, n_time_slices=2, n_ic=8,
+                      n_bc=8, width=6, hidden_layers=2, seed=1, **case).validate()
+    _, diag, tape = _step(cfg, monkeypatch)
+    assert diag.tape_nodes == tape.num_slots == slots
+    assert _mul_by_one(tape) == []
+    # only ds_uge evaluates a detached forward factor, on each of the two slices
+    assert diag.value_evals == (2 if case.get("estimator") == "ds_uge" else 0)
 
 
 # -- property tests at edge values ---------------------------------------------

@@ -25,25 +25,6 @@ def test_init_deterministic():
     assert np.array_equal(a.flat, b.flat)
 
 
-def test_init_glorot_bound_and_zero_bias():
-    cfg = NetworkConfig(in_dim=2, hidden_layers=4, width=128, seed=0)
-    p = init_params(cfg)
-    layers = p.layers()
-    W = layers[2][0]  # fan_in = fan_out = 128
-    bound = np.sqrt(6.0 / 256.0)
-    assert np.all(np.abs(W) <= bound)
-    assert np.any(np.abs(W) > 0.8 * bound)
-    for _, b in layers:
-        assert np.all(b == 0.0)
-
-
-def test_zero_params_zero_output():
-    cfg = NetworkConfig(in_dim=3, hidden_layers=2, width=8, seed=0)
-    p = MLPParams(cfg, np.zeros(cfg.param_count()))
-    X = np.random.default_rng(0).random((7, 3))
-    assert np.all(forward_array(p, X) == 0.0)
-
-
 def test_golden_forward_value():
     cfg = NetworkConfig(in_dim=2, hidden_layers=4, width=128, seed=1234)
     p = init_params(cfg)

@@ -7,9 +7,7 @@ import pytest
 from cpl.errors import ConfigError
 from cpl.net import TIME, ArrayNet, NetField, NetworkConfig, init_params
 from cpl.pde import (AnalyticField, DerivAtom, boundary_groups, ic_loss,
-                     make_problem, neumann_loss, residual_full, residual_sampled,
-                     term_value)
-from cpl.projection import AffineField
+                     make_problem, neumann_loss, residual_full, residual_sampled)
 from cpl.sampler import SeededRng
 
 
@@ -184,27 +182,6 @@ class TestTargets:
 
 
 class TestTermContract:
-    def test_action_on_one(self):
-        rd = make_problem("reaction_diffusion1d")
-        actions = [term.action_on_one() for term in rd.terms]
-        assert actions == [0.0, 0.0, -rd.constants["k"]]
-        fp = make_problem("fokker_planck_linear_nd", dim=2)
-        assert all(t.action_on_one() == 0.0 for t in fp.terms)
-
-    def test_affine_commutativity(self):
-        rng = SeededRng(42, 1)
-        for name, dim in (("reaction_diffusion1d", None), ("kdv1d", None),
-                          ("fokker_planck_linear_nd", 2)):
-            prob = make_problem(name, dim=dim)
-            net = _arraynet(prob.d, seed=6)
-            X = rng.uniform((7, prob.d)) * 2.0
-            alpha, beta = 1.9, -0.7
-            for term in prob.terms:
-                raw = term_value(term, NetField(net, X, 0.3))
-                proj = term_value(term, AffineField(NetField(net, X, 0.3), alpha, beta))
-                expect = alpha * raw + beta * term.action_on_one()
-                assert np.max(np.abs(proj - expect)) <= 1e-12
-
     def test_order_cap(self):
         with pytest.raises(ConfigError):
             DerivAtom(1.0, 0, 4)
