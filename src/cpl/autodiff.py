@@ -7,10 +7,10 @@ are parameters or inputs; ``backward`` runs a single reverse sweep and
 returns one adjoint per node.
 
 Besides the elementwise primitives the tape has structured ops for the
-network layers (``affine``, ``linear_nb``, ``project``, ``dotvec``), for
-reductions (``mean``, ``sum``, ``bsum``) and ``slope``: the 1 - y^2 of a
-``tanh`` node's output, as one node whose value is the partial the tanh node
-already stores.
+network layers (``affine`` and ``project``, each with an optional bias), for
+reductions (``mean``, ``sum``) and ``slope``: the 1 - y^2 of a ``tanh``
+node's output, as one node whose value is the partial the tanh node already
+stores.
 
 Node count is the memory proxy used everywhere else: ``num_slots`` counts
 scalar float64 slots across all recorded values, so it grows linearly with
@@ -22,12 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-PRIMITIVES = ("add", "sub", "mul", "div", "tanh", "sin", "cos", "exp", "sqrt", "pow2")
-
-# structured (non-elementwise) opcodes
-_STRUCTURED = ("leaf", "affine", "linear_nb", "project", "dotvec", "mean", "sum", "bsum",
-               "slope")
 
 
 class AdDomainError(ArithmeticError):
@@ -197,25 +191,20 @@ class Tape:
 
     # -- structured ops ------------------------------------------------------
 
-    def affine(self, h, W, b):
-        """h @ W.T + b for h (B, in), W (out, in), b (out,)."""
-        val = h.value @ W.value.T + b.value
-        return self._push("affine", (h.idx, W.idx, b.idx), None, val)
-
-    def linear_nb(self, h, W):
-        """h @ W.T without bias (jet coefficients of an affine layer)."""
+    def affine(self, h, W, b=None):
+        """h @ W.T (+ b) for h (B, in), W (out, in), b (out,); the jet
+        coefficients of a layer take no bias."""
         val = h.value @ W.value.T
-        return self._push("linear_nb", (h.idx, W.idx), None, val)
+        if b is None:
+            return self._push("affine", (h.idx, W.idx), None, val)
+        return self._push("affine", (h.idx, W.idx, b.idx), None, val + b.value)
 
-    def project(self, h, w, b0):
-        """Scalar head: h @ w + b0 for h (B, in), w (in,), scalar b0."""
-        val = h.value @ w.value + b0.value
-        return self._push("project", (h.idx, w.idx, b0.idx), None, val)
-
-    def dotvec(self, h, w):
-        """h @ w without bias."""
+    def project(self, h, w, b0=None):
+        """Scalar head: h @ w (+ b0) for h (B, in), w (in,), scalar b0."""
         val = h.value @ w.value
-        return self._push("dotvec", (h.idx, w.idx), None, val)
+        if b0 is None:
+            return self._push("project", (h.idx, w.idx), None, val)
+        return self._push("project", (h.idx, w.idx, b0.idx), None, val + b0.value)
 
     def mean(self, x):
         val = np.asarray(x.value.mean(), dtype=np.float64)
@@ -224,11 +213,6 @@ class Tape:
     def sum(self, x):
         val = np.asarray(x.value.sum(), dtype=np.float64)
         return self._push("sum", (x.idx,), None, val)
-
-    def bsum(self, x):
-        """Sum over the trailing axis: (B, k) -> (B,)."""
-        val = x.value.sum(axis=-1)
-        return self._push("bsum", (x.idx,), None, val)
 
     def tanh_slope(self, y):
         """1 - y^2 for the output y of a ``tanh`` node, as one node.
@@ -264,18 +248,18 @@ class Tape:
             if op == "leaf":
                 continue
             par = parents[i]
-            if op == "affine" or op == "linear_nb" or op == "project" or op == "dotvec":
+            if op == "affine" or op == "project":
                 h = values[par[0]]
                 W = values[par[1]]
-                if op == "affine" or op == "linear_nb":
+                if op == "affine":
                     _acc(adj, par[0], a @ W)
                     _acc(adj, par[1], a.T @ h)
-                    if op == "affine":
+                    if len(par) == 3:
                         _acc(adj, par[2], a.sum(axis=0))
                 else:
                     _acc(adj, par[0], a[:, None] * W[None, :])
                     _acc(adj, par[1], h.T @ a)
-                    if op == "project":
+                    if len(par) == 3:
                         _acc(adj, par[2], np.asarray(a.sum()))
             elif op == "mean":
                 x = values[par[0]]
@@ -283,9 +267,6 @@ class Tape:
             elif op == "sum":
                 x = values[par[0]]
                 _acc(adj, par[0], np.full_like(x, float(a)))
-            elif op == "bsum":
-                x = values[par[0]]
-                _acc(adj, par[0], np.broadcast_to(a[..., None], x.shape).copy())
             elif op == "slope":
                 contrib = (a * -1.0) * values[par[0]]
                 _acc(adj, par[0], contrib)

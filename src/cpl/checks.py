@@ -143,7 +143,7 @@ def check_sobol_reference():
 
 
 def check_sobol_range():
-    pts = sobol_points(512, 8, skip=7).points
+    pts = sobol_points(1000, 16, skip=3).points
     ok = np.all(pts >= 0.0) and np.all(pts < 1.0)
     return CheckResult("sampler/sobol-range", bool(ok), 0.0 if ok else 1.0, 0.0)
 

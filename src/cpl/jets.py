@@ -92,17 +92,6 @@ class Jet:
     def order(self):
         return len(self.coeffs) - 1
 
-    def coeff(self, k):
-        c = self.coeffs[k]
-        return 0.0 if c is None else c
-
-    def derivative(self, k):
-        """Raw k-th derivative: k! * c_k."""
-        c = self.coeffs[k]
-        if c is None:
-            return 0.0
-        return c * _FACT[k] if _FACT[k] != 1.0 else c
-
     def __add__(self, other):
         if isinstance(other, Jet):
             n = max(self.order, other.order)
@@ -137,9 +126,6 @@ class Jet:
         out = [None if c is None else c * scale for c in self.coeffs]
         out[0] = _add(out[0], shift)
         return Jet(out)
-
-
-_FACT = (1.0, 1.0, 2.0, 6.0)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:

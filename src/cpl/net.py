@@ -74,9 +74,6 @@ class MLPParams:
             out.append((W, b))
         return out
 
-    def copy(self):
-        return MLPParams(self.config, self.flat.copy())
-
 
 def init_params(config: NetworkConfig) -> MLPParams:
     """Glorot-uniform weights, zero biases, deterministic per config seed."""
@@ -273,20 +270,16 @@ class ArrayNet(TapeNet):
 
 # Layer ops on a tape variable or a numpy array: one code path for both.
 
-def _affine(h, W, b):
-    return h.tape.affine(h, W, b) if isinstance(h, Var) else h @ W.T + b
+def _affine(h, W, b=None):
+    if isinstance(h, Var):
+        return h.tape.affine(h, W, b)
+    return h @ W.T if b is None else h @ W.T + b
 
 
-def _linear(h, W):
-    return h.tape.linear_nb(h, W) if isinstance(h, Var) else h @ W.T
-
-
-def _head(h, w, b0):
-    return h.tape.project(h, w, b0) if isinstance(h, Var) else h @ w + b0
-
-
-def _head_linear(h, w):
-    return h.tape.dotvec(h, w) if isinstance(h, Var) else h @ w
+def _head(h, w, b0=None):
+    if isinstance(h, Var):
+        return h.tape.project(h, w, b0)
+    return h @ w if b0 is None else h @ w + b0
 
 
 class NetField:
@@ -340,9 +333,9 @@ class NetField:
         for layer, (W, _) in zip(self._hidden, self.net.hidden):
             if layer[1] is None:
                 layer[1] = _tanh_slope(layer[0])
-            z = [None] + [None if c is None else _linear(c, W) for c in x[1:]]
+            z = [None] + [None if c is None else _affine(c, W) for c in x[1:]]
             x = tanh_series(z, *layer)
-        return Jet([value] + [None if c is None else _head_linear(c, self.net.head_w)
+        return Jet([value] + [None if c is None else _head(c, self.net.head_w)
                               for c in x[1:]])
 
 

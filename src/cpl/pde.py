@@ -59,8 +59,6 @@ class PDEProblem:
     u0: Callable[[np.ndarray], np.ndarray]
     v0: Optional[Callable] = None     # initial velocity for second-order-in-time problems
     time_order: int = 1
-    boundary: str = "neumann"
-    forcing: Optional[Callable] = None
     constants: dict = dfield(default_factory=dict)
     c1_exact: Optional[Callable] = None
     c2_exact: Optional[Callable] = None
@@ -154,12 +152,12 @@ def nonlinear_value(problem: PDEProblem, field):
     raise ConfigError(f"unknown nonlinear tag {problem.nonlinear!r}")
 
 
-def residual_full(problem: PDEProblem, field, X=None, t=None):
-    """Sum of all linear terms plus nonlinear remainder minus forcing."""
-    return residual_sampled(problem, field, range(problem.n_terms), X=X, t=t)
+def residual_full(problem: PDEProblem, field):
+    """Sum of all linear terms plus the nonlinear remainder."""
+    return residual_sampled(problem, field, range(problem.n_terms))
 
 
-def residual_sampled(problem: PDEProblem, field, index_set, X=None, t=None):
+def residual_sampled(problem: PDEProblem, field, index_set):
     """(N_L/|S|) * sum of the sampled linear terms, plus the full nonlinear part."""
     idx = list(index_set)
     if len(idx) == 0:
@@ -176,10 +174,6 @@ def residual_sampled(problem: PDEProblem, field, index_set, X=None, t=None):
     nl = nonlinear_value(problem, field)
     if nl is not None:
         acc = nl if acc is None else acc + nl
-    if problem.forcing is not None:
-        if X is None or t is None:
-            raise ConfigError("forced problems need (X, t) for the residual")
-        acc = acc - problem.forcing(X, t)
     return acc
 
 

@@ -58,9 +58,6 @@ class SeededRng:
             [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
             dtype=np.uint64)))
 
-    def split(self, stream):
-        return SeededRng(self.seed, stream)
-
     def uniform(self, shape):
         return self.gen.random(shape, dtype=np.float64)
 
@@ -77,9 +74,6 @@ class SeededRng:
 @dataclass
 class PointCloud:
     points: np.ndarray            # (m, d)
-    provenance: str               # "sobol" | "uniform"
-    seed: int = 0
-    skip: int = 0
 
     @property
     def size(self):
@@ -150,7 +144,7 @@ def sobol_points(m, d, skip=0):
                           f"1..2^{_SOBOL_BITS}-1, the range the {_SOBOL_BITS}-bit table covers")
     V = _direction_integers(d)
     if m == 0:
-        return PointCloud(np.empty((0, d)), "sobol", skip=skip)
+        return PointCloud(np.empty((0, d)))
     first = skip + 1
     gray = first ^ (first >> 1)
     x = np.empty((m, d), dtype=np.uint64)
@@ -167,13 +161,13 @@ def sobol_points(m, d, skip=0):
     np.bitwise_xor.accumulate(x, axis=0, out=x)
     pts = x.astype(np.float64)
     pts *= 2.0 ** -_SOBOL_BITS
-    return PointCloud(pts, "sobol", skip=skip)
+    return PointCloud(pts)
 
 
 def uniform_points(m, d, rng: SeededRng):
     """i.i.d. uniform points over [0,1)^d from a seeded stream."""
     pts = rng.uniform((m, d)) if m > 0 else np.empty((0, d))
-    return PointCloud(np.asarray(pts).reshape(m, d), "uniform", seed=rng.seed)
+    return PointCloud(np.asarray(pts).reshape(m, d))
 
 
 def map_to_domain(cloud: PointCloud, domain: Domain) -> PointCloud:
@@ -181,7 +175,7 @@ def map_to_domain(cloud: PointCloud, domain: Domain) -> PointCloud:
     lo = np.asarray(domain.lower)
     hi = np.asarray(domain.upper)
     pts = lo + cloud.points * (hi - lo)
-    return PointCloud(pts, cloud.provenance, seed=cloud.seed, skip=cloud.skip)
+    return PointCloud(pts)
 
 
 def spatial_cloud(m, domain: Domain, kind="sobol", skip=0):

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import pde as pdemod
 from .autodiff import Tape
-from .baselines import combined_scalars, uniform_grid
-from .errors import ConfigError, NumericalAbort
+from .baselines import combined_scalars, riemann_invariants, uniform_grid
+from .errors import ConfigError, IllPosedTargets, NumericalAbort
 from .net import (ArrayNet, MLPParams, NetField, NetworkConfig, TapeNet,
                   forward_array, init_params)
 from .pde import PDEProblem, boundary_groups, neumann_loss, residual_sampled, scaled
@@ -75,14 +75,18 @@ class TrainConfig:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}")
         if self.method != "sdifp" and self.estimator != "full":
             raise ConfigError("index-subset estimators apply to the sdifp method only")
-        if min(self.epochs, self.batch_n, self.eval_every, self.n_ic, self.eval_cloud) < 1:
-            raise ConfigError("epochs, batch_n, eval_every, n_ic and eval_cloud must be positive")
+        if min(self.epochs, self.batch_n, self.eval_every, self.n_ic, self.eval_cloud,
+               self.n_time_slices, self.moment_refresh) < 1:
+            raise ConfigError("epochs, batch_n, eval_every, n_ic, eval_cloud, n_time_slices "
+                              "and moment_refresh must be positive")
         if min(self.cloud_m, self.proj_support) < 2:
             raise ConfigError("cloud_m and proj_support must be at least 2")
         if min(self.size_i, self.size_j) < 0:
             raise ConfigError("size_i and size_j must not be negative")
         if self.proj_mode not in ("grid", "cloud"):
             raise ConfigError("proj_mode must be 'grid' or 'cloud'")
+        if self.ref_nx != 0 and self.ref_nx < 2:
+            raise ConfigError("ref_nx must be 0 (the per-problem default) or at least 2")
         return self
 
 
@@ -155,7 +159,7 @@ def sample_interior(domain, n, rng):
 
 
 def _slice_layout(n, n_slices):
-    n_slices = max(1, min(n_slices, n))
+    n_slices = min(n_slices, n)
     sizes = np.full(n_slices, n // n_slices)
     sizes[: n % n_slices] += 1
     return sizes
@@ -293,14 +297,14 @@ def step_sdifp(params, problem, cfg, plan: StepPlan, smc_points, targets,
 
     def slice_loss(s, fld, X, t):
         nonlocal loss_pde, value_evals
-        g_bwd = residual_sampled(problem, fld, plan.I, X=X, t=t)        # tape node (Bs,)
+        g_bwd = residual_sampled(problem, fld, plan.I)  # tape node (Bs,)
         if np.array_equal(plan.I, plan.J):
             # sampling-once: the forward factor reuses the recorded values
             f_fwd = np.array(g_bwd.value)
         else:
             af = affines[s + 1]
             vfld = AffineField(NetField(anet, X, t), af.alpha, af.beta)
-            f_fwd = residual_sampled(problem, vfld, plan.J, X=X, t=t)  # detached
+            f_fwd = residual_sampled(problem, vfld, plan.J)  # detached
             value_evals += len(plan.J)
         _finite(f_fwd, "forward residual factor")
         loss_pde += float((f_fwd * f_fwd).sum()) / plan.batch_n
@@ -349,7 +353,7 @@ def sdifp_coupled_objective(params, problem, cfg, plan, smc_points, targets):
         t_s = float(plan.ts[s])
         af = affines[s + 1]
         vfld = AffineField(NetField(anet, Xs, t_s), af.alpha, af.beta)
-        r = residual_sampled(problem, vfld, plan.J, X=Xs, t=t_s)
+        r = residual_sampled(problem, vfld, plan.J)
         total += 0.5 * float((r * r).sum()) / plan.batch_n
         for coord, pts in plan.bc_assign.get(s, ()):
             bfld = AffineField(NetField(anet, pts, t_s), af.alpha, af.beta)
@@ -360,24 +364,25 @@ def sdifp_coupled_objective(params, problem, cfg, plan, smc_points, targets):
 # -- baseline steps --------------------------------------------------------------
 
 
-def _discrete_projection(tn, problem, targets, t_s, support, backprop):
-    """(a, b) of the support-coupled combined projection, recorded on the tape,
-    and the constraint residuals of the projected support values."""
+def _discrete_projection(net, problem, targets, t_s, support):
+    """(a, b) of the support-coupled combined projection of net's values, and
+    the constraint residuals of the projected support values.  Over a TapeNet
+    (a, b) are tape nodes, over an ArrayNet plain numbers."""
     pts, dv = support
     vol = problem.domain.volume
     c1, c2, _ = targets.at(t_s)
-    u_sup = NetField(tn, pts, t_s).value()
-    a_v, b_v = combined_scalars(u_sup, dv, c1 * vol, c2 * vol)
-    a, b = float(a_v.value), float(b_v.value)
-    y = a * u_sup.value + b
-    residuals = (abs(dv * y.sum() - c1 * vol), abs(dv * (y * y).sum() - c2 * vol))
-    return ((a_v, b_v) if backprop else (a, b)), residuals
+    u = NetField(net, pts, t_s).value()
+    a, b = combined_scalars(u, dv, c1 * vol, c2 * vol)
+    av, uv, bv = (getattr(x, "value", x) for x in (a, u, b))
+    r1, r2 = riemann_invariants(av * uv + bv, dv)
+    return (a, b), (abs(r1 - c1 * vol), abs(r2 - c2 * vol))
 
 
 def step_baseline(params, problem, cfg, plan: StepPlan, targets=None):
     """Full-tape gradient of the composite loss for vanilla / soft / discrete_proj."""
     tape = Tape()
     tn = TapeNet(tape, params)
+    proj_net = tn if cfg.proj_backprop else ArrayNet(params)
     vol = problem.domain.volume
     proj_residuals = []           # per plan slice, not the IC slice
     soft_pen = None
@@ -385,15 +390,14 @@ def step_baseline(params, problem, cfg, plan: StepPlan, targets=None):
     def project(k, t):
         if cfg.method != "discrete_proj":
             return None
-        ab, res = _discrete_projection(tn, problem, targets, t, plan.proj_support[k],
-                                       cfg.proj_backprop)
+        ab, res = _discrete_projection(proj_net, problem, targets, t, plan.proj_support[k])
         if k:
             proj_residuals.append(res)
         return ab
 
     def slice_loss(s, fld, X, t):
         nonlocal soft_pen
-        r = residual_sampled(problem, fld, range(problem.n_terms), X=X, t=t)
+        r = residual_sampled(problem, fld, range(problem.n_terms))
         chunk = scaled(1.0 / plan.batch_n, tape.sum(r.pow2()))
         if cfg.method == "soft":
             u = fld.value()
@@ -521,6 +525,15 @@ def ensure_reference(problem, cfg, cache_dir=None):
     ref = refsolve.solve_reference(problem, nx=nx, dt=dt, cache_dir=cache_dir)
     if problem.needs_invariant_table():
         problem.attach_invariant_table(refsolve.invariant_table(ref))
+        # the table interpolates linearly, so between two snapshots
+        # c2 - c1^2 is linear minus convex: its minimum lies at a snapshot
+        targets = problem.domain_averaged_targets()
+        try:
+            for t in ref.ts:
+                targets.at(float(t))
+        except IllPosedTargets as exc:
+            raise ConfigError(f"--ref-nx {nx} is too coarse a reference grid for "
+                              f"{problem.name}: {exc}") from exc
     return ref
 
 
@@ -543,7 +556,7 @@ def _check_holdout_disjoint(cfg: TrainConfig):
     """
     if cfg.method != "sdifp":
         return
-    advances = 0 if cfg.freeze_cloud else (cfg.epochs - 1) // max(1, cfg.moment_refresh)
+    advances = 0 if cfg.freeze_cloud else (cfg.epochs - 1) // cfg.moment_refresh
     last = (advances + 1) * cfg.cloud_m
     if last > cfg.holdout_skip:
         raise ConfigError(
@@ -578,7 +591,7 @@ def run_training(cfg: TrainConfig, reference="auto", cache_dir=None,
     t_start = time.perf_counter()
     for epoch in range(cfg.epochs):
         if cfg.method == "sdifp":
-            refresh = (epoch % max(1, cfg.moment_refresh) == 0)
+            refresh = (epoch % cfg.moment_refresh == 0)
             # the cloud only advances when moments are re-estimated, so cached
             # moments always describe the cloud in use
             if refresh and epoch > 0 and not cfg.freeze_cloud:
@@ -614,12 +627,6 @@ def run_training(cfg: TrainConfig, reference="auto", cache_dir=None,
                     f"err_c1 {rec.error_c1:.3e}  err_c2 {rec.error_c2:.3e}  "
                     f"tape {rec.tape_nodes}  [{elapsed:.1f}s]")
 
-    # the last evaluate() solved this table at the final parameters and cloud;
-    # only discrete_proj draws fresh supports per solve, so it solves again
-    affine_table = metrics[-1].affine_table
-    if cfg.method == "discrete_proj":
-        tgrid = np.linspace(0.0, problem.t_final, 64)
-        provide = projection_provider(params, problem, cfg, targets, smc_points, rngs)
-        affine_table = [(float(t),) + tuple(map(float, provide(t))) for t in tgrid]
-    return TrainResult(params=params, metrics=metrics, affine_table=affine_table,
+    # the final epoch always evaluates, at the final parameters and cloud
+    return TrainResult(params=params, metrics=metrics, affine_table=metrics[-1].affine_table,
                        config=cfg, max_tape_nodes=max_nodes, problem=problem)

@@ -71,6 +71,12 @@ def test_unknown_config_key_rejected(tmp_path):
     ["--cloud-m", "1"],
     ["--proj-support", "0", "--method", "discrete_proj"],
     ["--size-i", "-1", "--estimator", "ds_uge"],
+    ["--n-time-slices", "0"],
+    ["--moment-refresh", "0"],
+    ["--ref-nx", "1"],
+    # grids this coarse give the invariant table a negative target variance
+    ["--ref-nx", "2"],
+    ["--ref-nx", "4"],
 ], ids=lambda flags: "_".join(f.lstrip("-") for f in flags))
 def test_bad_method_exit_code(tmp_path, flags):
     assert main(["train", "--out", str(tmp_path)] + flags) == 2
@@ -122,6 +128,17 @@ def test_sweep_subset_size_monotone(tmp_path):
     assert lines[0].startswith("axis,value")
     nodes = [int(line.split(",")[4]) for line in lines[1:]]
     assert nodes[0] < nodes[1] < nodes[2]
+
+
+def test_sweep_parallel_matches_serial(tmp_path):
+    args = ["sweep", "--axis", "batch", "--values", "8,16", "--problem", "advection1d",
+            "--method", "sdifp", "--cloud-m", "128", "--n-time-slices", "2", "--width", "6",
+            "--hidden-layers", "2", "--n-ic", "4", "--n-bc", "4", "--ref-nx", "128"]
+    assert main(args + ["--out", str(tmp_path / "serial"), "--parallel", "1"]) == 0
+    assert main(args + ["--out", str(tmp_path / "pool"), "--parallel", "2"]) == 0
+    serial = (tmp_path / "serial" / "sweep_batch.csv").read_bytes()
+    assert (tmp_path / "pool" / "sweep_batch.csv").read_bytes() == serial
+    assert serial.count(b'"ok"') == 2
 
 
 def test_sweep_dimension_refuses_above_cap(tmp_path):

@@ -194,7 +194,7 @@ TAPE_PINS = [
     pytest.param(dict(method="discrete_proj", proj_mode="grid", proj_support=16), 3_103,
                  id="discrete-grid"),
     pytest.param(dict(method="discrete_proj", proj_support=16), 3_103, id="discrete-cloud"),
-    pytest.param(dict(method="discrete_proj", proj_support=16, proj_backprop=False), 3_103,
+    pytest.param(dict(method="discrete_proj", proj_support=16, proj_backprop=False), 1_693,
                  id="discrete-no-backprop"),
     pytest.param(dict(method="sdifp"), 1_732, id="sdifp-full"),
     pytest.param(dict(method="sdifp", estimator="ds_uge", size_i=1, size_j=1), 1_492,

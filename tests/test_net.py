@@ -136,7 +136,7 @@ def _per_jet_primal_jet(net, X, coord, order, tape):
             z[0] = tape.affine(coeffs[0], W, b)
             for k in range(1, order + 1):
                 if coeffs[k] is not None:
-                    z[k] = tape.linear_nb(coeffs[k], W)
+                    z[k] = tape.affine(coeffs[k], W)
         else:
             z[0] = coeffs[0] @ W.T + b
             for k in range(1, order + 1):
@@ -148,7 +148,7 @@ def _per_jet_primal_jet(net, X, coord, order, tape):
         out[0] = tape.project(coeffs[0], net.head_w, net.head_b)
         for k in range(1, order + 1):
             if coeffs[k] is not None:
-                out[k] = tape.dotvec(coeffs[k], net.head_w)
+                out[k] = tape.project(coeffs[k], net.head_w)
     else:
         out[0] = coeffs[0] @ net.head_w + net.head_b
         for k in range(1, order + 1):

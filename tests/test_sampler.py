@@ -8,16 +8,6 @@ from cpl.sampler import (_SOBOL_BITS, Domain, SeededRng, _direction_integers,
                          uniform_points)
 
 
-def test_sobol_first_point_1d():
-    cloud = sobol_points(1, 1, skip=0)
-    assert cloud.points[0, 0] == 0.5
-
-
-def test_sobol_first_point_2d():
-    cloud = sobol_points(2, 2, skip=0)
-    assert tuple(cloud.points[0]) == (0.5, 0.5)
-
-
 @pytest.mark.parametrize("d,skip", [(1, 0), (2, 0), (5, 0), (8, 37), (64, 5)])
 def test_sobol_matches_reference_generator(d, skip):
     m = 256
@@ -25,11 +15,6 @@ def test_sobol_matches_reference_generator(d, skip):
     ref = qmc.Sobol(d=d, scramble=False)
     ref_pts = ref.random(m + skip + 1)[skip + 1:]
     assert np.max(np.abs(mine - ref_pts)) <= 2.0 ** -30
-
-
-def test_sobol_in_unit_cube():
-    pts = sobol_points(1000, 16, skip=3).points
-    assert np.all(pts >= 0.0) and np.all(pts < 1.0)
 
 
 def test_sobol_dimension_cap():
@@ -83,17 +68,6 @@ def test_sobol_reproducible_per_skip():
     assert not np.array_equal(a, c)
 
 
-def test_uniform_deterministic():
-    a = uniform_points(50, 2, SeededRng(9, 1)).points
-    b = uniform_points(50, 2, SeededRng(9, 1)).points
-    assert np.array_equal(a, b)
-
-
-def test_uniform_mean_clt():
-    pts = uniform_points(10_000, 1, SeededRng(3, 1)).points
-    assert abs(pts.mean() - 0.5) <= 0.02
-
-
 def test_uniform_empty():
     cloud = uniform_points(0, 4, SeededRng(1, 1))
     assert cloud.points.shape == (0, 4)
@@ -139,21 +113,6 @@ def test_sample_subsets_full_set():
 def test_sample_subsets_size_error():
     with pytest.raises(ConfigError):
         sample_subsets(3, 4, 2, SeededRng(0, 1))
-
-
-def test_sobol_discrepancy_beats_uniform():
-    m = 4096
-    sob = sobol_points(m, 2, skip=0).points
-    uni = uniform_points(m, 2, SeededRng(7, 1)).points
-    rng = SeededRng(8, 1)
-    err_s = err_u = 0.0
-    for _ in range(100):
-        lo = rng.uniform((2,)) * 0.5
-        hi = lo + rng.uniform((2,)) * (1.0 - lo)
-        vol = float(np.prod(hi - lo))
-        err_s += abs(np.all((sob >= lo) & (sob < hi), axis=1).mean() - vol)
-        err_u += abs(np.all((uni >= lo) & (uni < hi), axis=1).mean() - vol)
-    assert err_u / err_s >= 3.0
 
 
 def test_spatial_cloud_refuses_other_kinds_and_dims_beyond_the_table():

@@ -203,8 +203,7 @@ class TestBaselineSteps:
             tot = tc.w_ic * ic_loss(prob, NetField(an, plan.ic_X, 0.0), plan.ic_X)
             for s, Xs in enumerate(plan.slices):
                 ts = float(plan.ts[s])
-                r = residual_sampled(prob, NetField(an, Xs, ts),
-                                     range(prob.n_terms), X=Xs, t=ts)
+                r = residual_sampled(prob, NetField(an, Xs, ts), range(prob.n_terms))
                 tot += float((r * r).sum()) / plan.batch_n
                 for coord, pts in plan.bc_assign.get(s, ()):
                     tot += tc.w_bc * neumann_loss(NetField(an, pts, ts), coord) \
@@ -269,7 +268,7 @@ class TestBaselineSteps:
                 ts = float(plan.ts[s])
                 a, b = scalars(an, ts, plan.proj_support[s + 1])
                 fld = AffineField(NetField(an, Xs, ts), a, b)
-                r = residual_sampled(prob, fld, range(prob.n_terms), X=Xs, t=ts)
+                r = residual_sampled(prob, fld, range(prob.n_terms))
                 tot += float((r * r).sum()) / plan.batch_n
                 for coord, pts in plan.bc_assign.get(s, ()):
                     tot += tc.w_bc * neumann_loss(AffineField(
@@ -397,6 +396,18 @@ class TestRunTraining:
         r2 = run_training(tc)
         assert np.array_equal(r1.params.flat, r2.params.flat)
         assert r1.metrics == r2.metrics
+
+    @pytest.mark.parametrize("method", ["vanilla", "soft", "discrete_proj", "sdifp"])
+    def test_final_table_is_the_last_evaluation(self, method):
+        # the last epoch lies off the evaluation cadence, and it still evaluates
+        tc = TrainConfig(problem="advection1d", method=method, epochs=3, batch_n=16,
+                         cloud_m=256, n_time_slices=2, n_ic=8, n_bc=8, width=6,
+                         hidden_layers=2, seed=3, eval_every=5, eval_cloud=256,
+                         proj_support=16, ref_nx=128)
+        result = run_training(tc)
+        assert [rec.epoch for rec in result.metrics] == [0, 2]
+        assert len(result.affine_table) == 64
+        assert result.affine_table == result.metrics[-1].affine_table
 
     def test_conservation_at_every_step(self):
         # re-solving the projection on the training cloud must match targets
