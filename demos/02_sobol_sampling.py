@@ -23,7 +23,7 @@ print(f"dense-quadrature integral: {truth:.10f}")
 print(f"{'m':>8}  {'sobol err':>12}  {'uniform err':>12}")
 rng = SeededRng(0, 1)
 for m in (64, 256, 1024, 4096, 16384):
-    sob = spatial_cloud(m, dom, kind="sobol", skip=0).points[:, 0]
+    sob = spatial_cloud(m, dom, skip=0).points[:, 0]
     uni = uniform_points(m, 1, rng).points[:, 0] * 2.0
     est_s = 2.0 * u(sob).mean()
     est_u = 2.0 * u(uni).mean()

@@ -16,7 +16,7 @@ from cpl.sampler import spatial_cloud
 
 prob = make_problem("sine_gordon_nd", dim=2)
 targets = prob.domain_averaged_targets()
-cloud = spatial_cloud(10_000, prob.domain, kind="sobol", skip=0).points
+cloud = spatial_cloud(10_000, prob.domain, skip=0).points
 
 print("problem: 2d product-Gaussian targets on [0,2]^2, M = 10^4 Sobol' points")
 print(f"{'seed':>4} {'alpha':>10} {'beta':>10} {'mass resid':>12} {'energy resid':>13}")

@@ -31,7 +31,7 @@ def field(x):
 
 
 rows = ["n,discrete_same_cloud,discrete_heldout,functional_heldout"]
-holdout = spatial_cloud(100_000, prob.domain, kind="sobol", skip=10_000_000).points
+holdout = spatial_cloud(100_000, prob.domain, skip=10_000_000).points
 u_hold = field(holdout)
 
 print(f"{'n':>7} {'discrete same-cloud':>20} {'discrete held-out':>18} "
@@ -48,7 +48,7 @@ for n in (100, 1000, 10_000):
         a = (proj[1] - proj[0]) / (vals[1] - vals[0])
         b = proj[0] - a * vals[0]
         devs_out.append(abs(vol * (a * u_hold + b).mean() - c1b * vol))
-    cloud = spatial_cloud(n, prob.domain, kind="sobol", skip=0).points
+    cloud = spatial_cloud(n, prob.domain, skip=0).points
     af = solve_affine(estimate_moments(params, cloud, t), targets)
     fun_dev = abs(vol * (af.alpha * u_hold + af.beta).mean() - c1b * vol)
     same = float(np.mean(devs_same))

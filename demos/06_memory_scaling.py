@@ -26,7 +26,7 @@ for size in (256, 64, 16, 4):
                      estimator="ds_uge", size_i=size, size_j=size, batch_n=16,
                      cloud_m=10_000, n_time_slices=1, n_ic=8, n_bc=8,
                      width=16, hidden_layers=2, seed=0).validate()
-    cloud = spatial_cloud(10_000, prob.domain, kind="sobol", skip=0)
+    cloud = spatial_cloud(10_000, prob.domain, skip=0)
     plan = plan_step(prob, tc, RngSet(1))
     if size == 256:
         plan.I = plan.J = np.arange(256)
@@ -42,7 +42,7 @@ for m in (1000, 10_000, 100_000):
                      estimator="ds_uge", size_i=4, size_j=4, batch_n=16,
                      cloud_m=m, n_time_slices=1, n_ic=8, n_bc=8,
                      width=16, hidden_layers=2, seed=0).validate()
-    cloud = spatial_cloud(m, prob.domain, kind="sobol", skip=0)
+    cloud = spatial_cloud(m, prob.domain, skip=0)
     plan = plan_step(prob, tc, RngSet(1))
     _, diag, _ = step_sdifp(params, prob, tc, plan, cloud.points, targets)
     print(f"  M = {m:7d}: tape slots {diag.tape_nodes}")

@@ -98,12 +98,6 @@ class Var:
     def sin(self):
         return self.tape.record("sin", self)
 
-    def cos(self):
-        return self.tape.record("cos", self)
-
-    def exp(self):
-        return self.tape.record("exp", self)
-
     def sqrt(self):
         return self.tape.record("sqrt", self)
 
@@ -170,12 +164,6 @@ class Tape:
         elif op == "sin":
             val = np.sin(xv)
             partial = np.cos(xv)
-        elif op == "cos":
-            val = np.cos(xv)
-            partial = -np.sin(xv)
-        elif op == "exp":
-            val = np.exp(xv)
-            partial = val
         elif op == "sqrt":
             if np.any(xv < 0.0):
                 raise AdDomainError("sqrt of a negative value on the tape")
@@ -288,26 +276,6 @@ def _acc(adj, idx, contrib):
         adj[idx] = np.asarray(contrib, dtype=np.float64)
     else:
         cur += contrib
-
-
-def jet_eval(fn, seed, direction, order):
-    """Taylor-jet of a composed primitive function along one input coordinate.
-
-    ``fn`` maps a list of Jets to a Jet using the helpers in :mod:`cpl.jets`;
-    ``seed`` is the evaluation point (sequence of floats).  Returns the jet of
-    normalized coefficients f^(k)/k! for k = 0..order.
-    """
-    from .jets import Jet
-
-    if order not in (1, 2, 3):
-        raise ValueError("jet order must be 1, 2 or 3")
-    args = []
-    for i, s in enumerate(seed):
-        coeffs = [np.float64(s)] + [None] * order
-        if i == direction:
-            coeffs[1] = np.float64(1.0)
-        args.append(Jet(coeffs))
-    return fn(args)
 
 
 def finite_diff_gradient(f, x, rel_h=1e-5):

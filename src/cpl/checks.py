@@ -20,7 +20,7 @@ from . import pde as pdemod
 from . import refsolve
 from .autodiff import Tape, finite_diff_derivatives, finite_diff_gradient, jet_to_derivatives
 from .baselines import proj_combined, proj_linear, proj_quadratic
-from .jets import Jet, jet_exp, jet_sin, jet_tanh
+from .jets import Jet, jet_tanh
 from .net import ArrayNet, MLPParams, NetField, NetworkConfig, TapeNet, forward_array, init_params
 from .projection import (MomentEstimate, TargetInvariants, estimate_moments,
                          moment_grad_estimates, projected_grad, projection_jacobians,
@@ -48,9 +48,9 @@ def check_primitive_values():
     t = Tape()
     v1 = t.record("mul", 3.0, 3.0)
     v2 = t.record("tanh", 0.0)
-    v3 = t.record("exp", 1.0)
+    v3 = t.record("sin", np.pi / 6.0)
     err = max(abs(float(v1.value) - 9.0), abs(float(v2.value)),
-              abs(float(v3.value) - np.e))
+              abs(float(v3.value) - 0.5))
     return CheckResult("adcore/primitive-values", err <= 1e-12, err, 1e-12)
 
 
@@ -73,27 +73,13 @@ def check_backward_fd():
     return CheckResult("adcore/backward-vs-fd", worst <= 1e-6, worst, 1e-6)
 
 
-def check_jet_taylor():
-    js = jet_sin(Jet([np.float64(0.0), np.float64(1.0), None, None]))
-    je = jet_exp(Jet([np.float64(0.0), np.float64(1.0), None, None]))
-    exp_s = [0.0, 1.0, 0.0, -1.0 / 6.0]
-    exp_e = [1.0, 1.0, 0.5, 1.0 / 6.0]
-    err = 0.0
-    for k in range(4):
-        cs = js.coeffs[k]
-        ce = je.coeffs[k]
-        err = max(err, abs((0.0 if cs is None else float(cs)) - exp_s[k]),
-                  abs((0.0 if ce is None else float(ce)) - exp_e[k]))
-    return CheckResult("adcore/jet-taylor-sin-exp", err <= 1e-15, err, 1e-15)
-
-
 def check_jet_vs_fd():
     # h large enough that the order-3 divided difference stays above roundoff;
     # relative error where the derivative is O(1), absolute near its zeros
     worst = 0.0
     rng = SeededRng(1, 1)
-    for _ in range(20):
-        x0 = float(rng.uniform(()) * 2.0 - 1.0)
+    for _ in range(100):
+        x0 = float(rng.uniform(()) * 4.0 - 2.0)
         jet = jet_tanh(Jet([np.float64(x0), np.float64(1.0), None, None]))
         ders = [float(d) for d in jet_to_derivatives(jet)[1:]]
         fd = finite_diff_derivatives(np.tanh, x0, 3, h=1e-2)
@@ -247,12 +233,12 @@ def check_affine_roots():
     rng = SeededRng(11, 1)
     worst = 0.0
     alpha_min = np.inf
-    for _ in range(200):
-        mu1 = float(rng.uniform(()) * 4.0 - 2.0)
-        sig2 = float(rng.uniform(()) * 2.0 + 1e-3)
+    for _ in range(300):
+        mu1 = float(rng.uniform(()) * 6.0 - 3.0)
+        sig2 = float(rng.uniform(()) * 4.0 + 1e-4)
         mu2 = mu1 * mu1 + sig2
-        c1 = float(rng.uniform(()) * 4.0 - 2.0)
-        v = float(rng.uniform(()) * 3.0 + 1e-3)
+        c1 = float(rng.uniform(()) * 6.0 - 3.0)
+        v = float(rng.uniform(()) * 5.0 + 1e-4)
         c2 = c1 * c1 + v
         tg = TargetInvariants(lambda t, c1=c1: c1, lambda t, c2=c2: c2)
         mo = MomentEstimate(mu1=mu1, mu2=mu2, m=10, t=0.0)
@@ -271,7 +257,7 @@ def check_jacobians_fd(flip_da_dmu2=False):
     worst = 0.0
     for _ in range(50):
         mu1 = float(rng.uniform(()) * 2.0 - 1.0)
-        sig2 = float(rng.uniform(()) * 1.5 + 0.05)
+        sig2 = float(rng.uniform(()) * 2.0 + 0.05)
         mu2 = mu1 * mu1 + sig2
         c1 = float(rng.uniform(()) - 0.5)
         c2 = c1 * c1 + float(rng.uniform(()) * 2.0 + 0.1)
@@ -313,23 +299,24 @@ def check_variance_floor():
 
 
 def check_exact_conservation():
-    prob = pdemod.make_problem("sine_gordon_nd", dim=2)  # analytic targets
-    tg = prob.domain_averaged_targets()
     worst = 0.0
-    cloud = spatial_cloud(4000, prob.domain, kind="sobol", skip=0)
-    for seed in range(5):
-        cfg = NetworkConfig(in_dim=3, hidden_layers=4, width=32, seed=seed)
-        p = init_params(cfg)
-        t = 0.2 * (seed + 1) - 0.1
-        mo = estimate_moments(p, cloud.points, t)
-        af = solve_affine(mo, tg)
-        Xt = np.concatenate([cloud.points, np.full((cloud.size, 1), t)], axis=1)
-        u = forward_array(p, Xt)
-        ut = af.alpha * u + af.beta
-        c1b, c2b, _ = tg.at(t)
-        worst = max(worst,
-                    abs(float(ut.mean()) - c1b) / (1 + abs(c1b)),
-                    abs(float((ut * ut).mean()) - c2b) / (1 + abs(c2b)))
+    for d in (1, 2):
+        prob = pdemod.make_problem("sine_gordon_nd", dim=d)  # analytic targets
+        tg = prob.domain_averaged_targets()
+        cloud = spatial_cloud(4000, prob.domain, skip=0)
+        for seed in range(6):
+            cfg = NetworkConfig(in_dim=d + 1, hidden_layers=4, width=32, seed=seed)
+            p = init_params(cfg)
+            t = 0.18 * seed
+            mo = estimate_moments(p, cloud.points, t)
+            af = solve_affine(mo, tg)
+            Xt = np.concatenate([cloud.points, np.full((cloud.size, 1), t)], axis=1)
+            u = forward_array(p, Xt)
+            ut = af.alpha * u + af.beta
+            c1b, c2b, _ = tg.at(t)
+            worst = max(worst,
+                        abs(float(ut.mean()) - c1b) / (1 + abs(c1b)),
+                        abs(float((ut * ut).mean()) - c2b) / (1 + abs(c2b)))
     return CheckResult("projection/exact-conservation", worst <= 1e-10, worst, 1e-10)
 
 
@@ -522,34 +509,34 @@ def check_adam():
 
 
 def check_sdifp_fd():
-    prob = pdemod.make_problem("reaction_diffusion1d")
-    ref = refsolve.solve_reference(prob, nx=128, dt=5e-4)
-    prob.attach_invariant_table(refsolve.invariant_table(ref))
-    targets = prob.domain_averaged_targets()
-    tc = TrainConfig(problem="reaction_diffusion1d", method="sdifp", estimator="full",
-                     batch_n=128, cloud_m=128, n_time_slices=1, n_ic=128, n_bc=8,
-                     width=6, hidden_layers=2, seed=5).validate()
-    net_cfg = NetworkConfig(in_dim=2, hidden_layers=2, width=6, seed=5)
-    p = init_params(net_cfg)
-    cloud = spatial_cloud(128, prob.domain, kind="sobol", skip=0)
-    plan = plan_step(prob, tc, RngSet(6))
-    plan.slices = [cloud.points.copy()]
-    plan.ic_X = cloud.points.copy()
-    plan.batch_n = 128
-    g, _, _ = step_sdifp(p, prob, tc, plan, cloud.points, targets)
-    rng = np.random.default_rng(3)
     worst = 0.0
-    for _ in range(3):
-        v = rng.standard_normal(p.flat.size)
-        v /= np.linalg.norm(v)
-        h = 1e-6
+    for name, dt in (("reaction_diffusion1d", 5e-4), ("advection1d", 2e-3)):
+        prob = pdemod.make_problem(name)
+        ref = refsolve.solve_reference(prob, nx=128, dt=dt)
+        prob.attach_invariant_table(refsolve.invariant_table(ref))
+        targets = prob.domain_averaged_targets()
+        tc = TrainConfig(problem=name, method="sdifp", estimator="full",
+                         batch_n=128, cloud_m=128, n_time_slices=1, n_ic=128, n_bc=8,
+                         width=6, hidden_layers=2, seed=5).validate()
+        net_cfg = NetworkConfig(in_dim=2, hidden_layers=2, width=6, seed=5)
+        p = init_params(net_cfg)
+        cloud = spatial_cloud(128, prob.domain, skip=0)
+        plan = plan_step(prob, tc, RngSet(6))
+        plan.slices = [cloud.points.copy()]
+        plan.ic_X = cloud.points.copy()
+        g, _, _ = step_sdifp(p, prob, tc, plan, cloud.points, targets)
 
         def f(theta):
             return sdifp_coupled_objective(MLPParams(net_cfg, theta.copy()),
                                            prob, tc, plan, cloud.points, targets)
 
-        fd = (f(p.flat + h * v) - f(p.flat - h * v)) / (2 * h)
-        worst = max(worst, abs(float(g @ v) - fd) / max(1e-9, abs(fd)))
+        rng = np.random.default_rng(3)
+        h = 1e-6
+        for _ in range(4):
+            v = rng.standard_normal(p.flat.size)
+            v /= np.linalg.norm(v)
+            fd = (f(p.flat + h * v) - f(p.flat - h * v)) / (2 * h)
+            worst = max(worst, abs(float(g @ v) - fd) / max(1e-9, abs(fd)))
     return CheckResult("trainer/sdifp-grad-vs-coupled-fd", worst <= 1e-5, worst, 1e-5)
 
 
@@ -562,7 +549,7 @@ def check_dsuge_enumeration():
                      width=6, hidden_layers=2, seed=7).validate()
     net_cfg = NetworkConfig(in_dim=3, hidden_layers=2, width=6, seed=7)
     p = init_params(net_cfg)
-    cloud = spatial_cloud(256, prob.domain, kind="sobol", skip=0)
+    cloud = spatial_cloud(256, prob.domain, skip=0)
     plan = plan_step(prob, tc, RngSet(8))
     full = copy.copy(plan)
     full.I = np.arange(4)
@@ -586,21 +573,19 @@ def check_dsuge_enumeration():
 def check_training_determinism():
     from .trainer import run_training
     tc = TrainConfig(problem="advection1d", method="sdifp", estimator="full",
-                     epochs=3, batch_n=16, cloud_m=256, n_time_slices=2,
+                     epochs=4, batch_n=16, cloud_m=256, n_time_slices=2,
                      n_ic=8, n_bc=8, width=6, hidden_layers=2, seed=3,
-                     eval_every=1, eval_cloud=256, ref_nx=128)
+                     eval_every=2, eval_cloud=256, ref_nx=128)
     r1 = run_training(tc)
     r2 = run_training(tc)
-    same_params = np.array_equal(r1.params.flat, r2.params.flat)
-    same_metrics = all(a == b for a, b in zip(r1.metrics, r2.metrics))
-    ok = same_params and same_metrics
+    # epochs 0 and 2 evaluate on the cadence, 3 off it as the final epoch
+    ok = np.array_equal(r1.params.flat, r2.params.flat) and r1.metrics == r2.metrics
     return CheckResult("trainer/run-determinism", ok, 0.0 if ok else 1.0, 0.0)
 
 
 ALL_CHECKS = [
     check_primitive_values,
     check_backward_fd,
-    check_jet_taylor,
     check_jet_vs_fd,
     check_mixed_mode,
     check_tape_count_deterministic,

@@ -136,7 +136,7 @@ def cmd_reference(args) -> int:
     cfg = TrainConfig(problem=args.problem, dim=args.dim or 0)
     problem = build_problem(cfg)
     nx = args.nx
-    dt = args.dt if args.dt else refsolve.suggest_dt(problem, nx)
+    dt = args.dt if args.dt is not None else refsolve.suggest_dt(problem, nx)
     base = out_dir(args)
     cache = os.path.join(base, "refcache")
     path = refsolve._cache_path(problem, nx, dt, 65, cache)
@@ -158,7 +158,7 @@ def _sweep_setup(c: TrainConfig):
     problem = build_problem(c)
     if problem.needs_invariant_table():
         ensure_reference(problem, c)
-    cloud = spatial_cloud(c.cloud_m, problem.domain, kind="sobol", skip=0)
+    cloud = spatial_cloud(c.cloud_m, problem.domain, skip=0)
     params = init_params(NetworkConfig(in_dim=problem.d + 1, hidden_layers=c.hidden_layers,
                                        width=c.width, seed=c.seed))
     return problem, problem.domain_averaged_targets(), cloud.points, params, RngSet(c.seed)

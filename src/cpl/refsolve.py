@@ -81,9 +81,15 @@ def cfl_limit(problem: PDEProblem, dx):
     raise ConfigError(f"no reference solver for problem {name!r}")
 
 
+def _grid_step(problem: PDEProblem, nx):
+    """Spacing of the nx-point reference grid; fewer than two points is no grid."""
+    if nx < 2:
+        raise ConfigError(f"a reference grid needs at least 2 points per axis, got nx={nx}")
+    return (problem.domain.upper[0] - problem.domain.lower[0]) / (nx - 1)
+
+
 def suggest_dt(problem: PDEProblem, nx):
-    dx = (problem.domain.upper[0] - problem.domain.lower[0]) / (nx - 1)
-    return 0.9 * cfl_limit(problem, dx)
+    return 0.9 * cfl_limit(problem, _grid_step(problem, nx))
 
 
 def _pad_reflect(u, width):
@@ -174,20 +180,20 @@ def solve_reference(problem: PDEProblem, nx, dt, n_snapshots=65,
     dt must respect the CFL bound of the stiffest term; the solution is
     declared divergent if any value exceeds 1e6 in magnitude.
     """
-    if cache_dir is not None:
-        cached = _load_cache(problem, nx, dt, n_snapshots, cache_dir)
-        if cached is not None:
-            return cached
-
     d = problem.d
     if d > 2:
         raise ConfigError("reference solves support one or two spatial dimensions")
-    lo, hi = problem.domain.lower[0], problem.domain.upper[0]
-    dx = (hi - lo) / (nx - 1)
+    dx = _grid_step(problem, nx)
+    if not dt > 0.0:
+        raise ConfigError(f"the reference time step must be positive, got dt={dt}")
     limit = cfl_limit(problem, dx)
     if dt > limit:
         raise CflViolation(f"dt={dt:.3e} exceeds the stability bound {limit:.3e} "
                            f"for {problem.name} at nx={nx}")
+    if cache_dir is not None:
+        cached = _load_cache(problem, nx, dt, n_snapshots, cache_dir)
+        if cached is not None:
+            return cached
 
     axes = [np.linspace(problem.domain.lower[i], problem.domain.upper[i], nx)
             for i in range(d)]

@@ -178,14 +178,12 @@ def map_to_domain(cloud: PointCloud, domain: Domain) -> PointCloud:
     return PointCloud(pts)
 
 
-def spatial_cloud(m, domain: Domain, kind="sobol", skip=0):
+def spatial_cloud(m, domain: Domain, skip=0):
     """Convenience: a Sobol' cloud of spatial points mapped into the domain.
 
-    Only ``kind="sobol"`` exists; a domain beyond the direction table (d > 64)
-    is refused, like any other kind, as a configuration error.
+    A domain beyond the direction table (d > 64) is refused as a
+    configuration error.
     """
-    if kind != "sobol":
-        raise ConfigError(f"unknown cloud kind {kind!r}; only 'sobol' is supported")
     return map_to_domain(sobol_points(m, domain.dim, skip=skip), domain)
 
 

@@ -182,7 +182,6 @@ class StepPlan:
     I: np.ndarray
     J: np.ndarray
     proj_support: list = None     # per-slice support for discrete_proj (incl. t=0 first)
-    batch_n: int = 0
 
 
 def _grid_support(problem: PDEProblem, cfg: TrainConfig):
@@ -236,15 +235,14 @@ def plan_step(problem: PDEProblem, cfg: TrainConfig, rngs: RngSet,
             supports = [_cloud_support(problem, cfg, rngs.proj)
                         for _ in range(len(sizes) + 1)]
     return StepPlan(ts=ts, slices=slices, ic_X=ic_X, bc_assign=bc_assign,
-                    I=np.asarray(I), J=np.asarray(J), proj_support=supports,
-                    batch_n=cfg.batch_n)
+                    I=np.asarray(I), J=np.asarray(J), proj_support=supports)
 
 
 # -- plan walk shared by every step ------------------------------------------------
 
 
 def record_plan(tn, problem, cfg, plan: StepPlan, project, slice_loss):
-    """Record one plan's losses on tn's tape: (objective, l_ic, l_pde, l_bc, raw).
+    """Record one plan's losses on tn's tape: (objective, l_ic, l_bc, raw).
 
     ``project(k, t)`` gives the (alpha, beta) of slice k, or None for the raw
     field; slice 0 is the IC slice at t = 0, slice k >= 1 is plan slice k - 1,
@@ -273,7 +271,7 @@ def record_plan(tn, problem, cfg, plan: StepPlan, project, slice_loss):
     obj = scaled(cfg.w_ic, l_ic) + l_pde
     if l_bc is not None:
         obj = obj + scaled(cfg.w_bc, l_bc)
-    return obj, l_ic, l_pde, l_bc, raw
+    return obj, l_ic, l_bc, raw
 
 
 # -- projected-method step -----------------------------------------------------
@@ -307,10 +305,10 @@ def step_sdifp(params, problem, cfg, plan: StepPlan, smc_points, targets,
             f_fwd = residual_sampled(problem, vfld, plan.J)  # detached
             value_evals += len(plan.J)
         _finite(f_fwd, "forward residual factor")
-        loss_pde += float((f_fwd * f_fwd).sum()) / plan.batch_n
-        return scaled(1.0 / plan.batch_n, tape.sum(g_bwd * f_fwd))
+        loss_pde += float((f_fwd * f_fwd).sum()) / cfg.batch_n
+        return scaled(1.0 / cfg.batch_n, tape.sum(g_bwd * f_fwd))
 
-    obj, l_ic, _, l_bc, raw = record_plan(tn, problem, cfg, plan, project, slice_loss)
+    obj, l_ic, l_bc, raw = record_plan(tn, problem, cfg, plan, project, slice_loss)
     adj = tape.backward(obj)
     grad = tn.grad(adj)
 
@@ -354,7 +352,7 @@ def sdifp_coupled_objective(params, problem, cfg, plan, smc_points, targets):
         af = affines[s + 1]
         vfld = AffineField(NetField(anet, Xs, t_s), af.alpha, af.beta)
         r = residual_sampled(problem, vfld, plan.J)
-        total += 0.5 * float((r * r).sum()) / plan.batch_n
+        total += 0.5 * float((r * r).sum()) / cfg.batch_n
         for coord, pts in plan.bc_assign.get(s, ()):
             bfld = AffineField(NetField(anet, pts, t_s), af.alpha, af.beta)
             total += cfg.w_bc * neumann_loss(bfld, coord) * (pts.shape[0] / cfg.n_bc)
@@ -398,7 +396,7 @@ def step_baseline(params, problem, cfg, plan: StepPlan, targets=None):
     def slice_loss(s, fld, X, t):
         nonlocal soft_pen
         r = residual_sampled(problem, fld, range(problem.n_terms))
-        chunk = scaled(1.0 / plan.batch_n, tape.sum(r.pow2()))
+        chunk = scaled(1.0 / cfg.batch_n, tape.sum(r.pow2()))
         if cfg.method == "soft":
             u = fld.value()
             c1_hat = tape.mean(u) * vol
@@ -427,7 +425,6 @@ def projection_provider(params, problem, cfg, targets, smc_points, rngs):
     the way training does (fresh random support in cloud mode); the
     unprojected methods return the identity.
     """
-    vol = problem.domain.volume
     if cfg.method == "sdifp":
         def provide(t):
             af = solve_affine(estimate_moments(params, smc_points, t), targets)
@@ -435,13 +432,11 @@ def projection_provider(params, problem, cfg, targets, smc_points, rngs):
         return provide
     if cfg.method == "discrete_proj":
         grid = _grid_support(problem, cfg) if cfg.proj_mode == "grid" else None
+        anet = ArrayNet(params)
 
         def provide(t):
-            sup, sup_dv = grid or _cloud_support(problem, cfg, rngs.eval)
-            u = forward_array(params, np.concatenate(
-                [sup, np.full((sup.shape[0], 1), float(t))], axis=1))
-            c1, c2, _ = targets.at(t)
-            return combined_scalars(u, sup_dv, c1 * vol, c2 * vol)
+            support = grid or _cloud_support(problem, cfg, rngs.eval)
+            return _discrete_projection(anet, problem, targets, t, support)[0]
         return provide
 
     return lambda t: (1.0, 0.0)
@@ -452,7 +447,7 @@ def evaluate(params, problem, cfg, targets, smc_points, rngs, reference=None,
     """Error metrics on a held-out cloud and, when available, a reference grid."""
     provide = projection_provider(params, problem, cfg, targets, smc_points, rngs)
     vol = problem.domain.volume
-    holdout = spatial_cloud(cfg.eval_cloud, problem.domain, kind="sobol",
+    holdout = spatial_cloud(cfg.eval_cloud, problem.domain,
                             skip=cfg.holdout_skip)
     tgrid = np.linspace(0.0, problem.t_final, n_time_grid)
     e1 = 0.0
@@ -581,7 +576,7 @@ def run_training(cfg: TrainConfig, reference="auto", cache_dir=None,
 
     # only sdifp reads the detached cloud, so the other methods build none
     smc_skip = 0
-    smc_points = (spatial_cloud(cfg.cloud_m, problem.domain, kind="sobol", skip=0).points
+    smc_points = (spatial_cloud(cfg.cloud_m, problem.domain, skip=0).points
                   if cfg.method == "sdifp" else None)
 
     metrics = []
@@ -596,7 +591,7 @@ def run_training(cfg: TrainConfig, reference="auto", cache_dir=None,
             # moments always describe the cloud in use
             if refresh and epoch > 0 and not cfg.freeze_cloud:
                 smc_skip += cfg.cloud_m
-                smc_points = spatial_cloud(cfg.cloud_m, problem.domain, kind="sobol",
+                smc_points = spatial_cloud(cfg.cloud_m, problem.domain,
                                            skip=smc_skip).points
             plan = plan_step(problem, cfg, rngs,
                              fixed_ts=None if refresh else fixed_ts)

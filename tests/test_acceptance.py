@@ -49,7 +49,7 @@ def test_criterion_01_exact_conservation(advection_table, rd_table, wave_table,
         if prob.needs_invariant_table():
             prob.attach_invariant_table(table)
         targets = prob.domain_averaged_targets()
-        cloud = spatial_cloud(10_000, prob.domain, kind="sobol", skip=0).points
+        cloud = spatial_cloud(10_000, prob.domain, skip=0).points
         for seed in range(20):
             cfg = NetworkConfig(in_dim=2, hidden_layers=4, width=128, seed=seed)
             params = init_params(cfg)
@@ -111,7 +111,7 @@ def test_criterion_03_implicit_gradients():
         v = float(rng.uniform(()) * 2 + 0.2)
         tg = TargetInvariants(lambda t, c1=c1: c1, lambda t, c=c1 * c1 + v: c)
         cloud = spatial_cloud(300, make_problem("advection1d").domain,
-                              kind="sobol", skip=17 * inst).points
+                              skip=17 * inst).points
         t = float(rng.uniform(()) * 0.4)
         mo = estimate_moments(params, cloud, t)
         af = solve_affine(mo, tg)
@@ -165,7 +165,7 @@ def test_criterion_04_dsuge_unbiasedness():
                      method="sdifp", estimator="ds_uge", size_i=2, size_j=2,
                      batch_n=8, cloud_m=512, n_time_slices=2, n_ic=8, n_bc=8,
                      width=8, hidden_layers=2, seed=0).validate()
-    cloud = spatial_cloud(512, prob.domain, kind="sobol", skip=0)
+    cloud = spatial_cloud(512, prob.domain, skip=0)
     worst = 0.0
     for snap in range(5):
         net_cfg = NetworkConfig(in_dim=4, hidden_layers=2, width=8, seed=300 + snap)
@@ -310,7 +310,7 @@ def test_criterion_08_memory_scaling():
                          batch_n=16, cloud_m=cloud_m, n_time_slices=1,
                          n_ic=8, n_bc=8, width=16, hidden_layers=2,
                          seed=0).validate()
-        cloud = spatial_cloud(cloud_m, prob.domain, kind="sobol", skip=0)
+        cloud = spatial_cloud(cloud_m, prob.domain, skip=0)
         plan = plan_step(prob, tc, RngSet(7))
         if size_i == 256:
             plan.I = np.arange(256)

@@ -117,6 +117,19 @@ def test_reference_cfl_refused(tmp_path):
     assert main(args) == 2
 
 
+@pytest.mark.parametrize("grid,why", [
+    (["--nx", "1"], "at least 2 points"),
+    (["--nx", "0"], "at least 2 points"),
+    (["--nx", "128", "--dt", "-0.001"], "must be positive"),
+    (["--nx", "128", "--dt", "0"], "must be positive"),
+], ids=["nx1", "nx0", "dt-negative", "dt0"])
+def test_reference_bad_grid_or_step_refused(grid, why, tmp_path, capsys):
+    args = ["reference", "--problem", "advection1d", *grid, "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert why in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == []  # no CSV, no cache
+
+
 def test_sweep_subset_size_monotone(tmp_path):
     args = ["sweep", "--axis", "subset_size", "--values", "1,2,4",
             "--out", str(tmp_path), "--problem", "fokker_planck_linear_nd",

@@ -107,24 +107,6 @@ class TestSolveAffine:
         with pytest.raises(ValueError):
             solve_affine(mo, _targets(0.0, 1.0))
 
-    def test_random_draws_residuals_and_positivity(self):
-        rng = SeededRng(21, 1)
-        for _ in range(300):
-            mu1 = float(rng.uniform(()) * 6 - 3)
-            sig2 = float(rng.uniform(()) * 4 + 1e-4)
-            c1 = float(rng.uniform(()) * 6 - 3)
-            v = float(rng.uniform(()) * 5 + 1e-4)
-            mo = MomentEstimate(mu1, mu1 * mu1 + sig2, 10, 0.0)
-            tg = _targets(c1, c1 * c1 + v)
-            af = solve_affine(mo, tg)
-            assert af.alpha > 0
-            r1 = af.alpha * mo.mu1 + af.beta - c1
-            r2 = (af.alpha ** 2 * mo.mu2 + 2 * af.alpha * af.beta * mo.mu1
-                  + af.beta ** 2 - (c1 * c1 + v))
-            assert abs(r1) <= 1e-10 * (1 + abs(c1))
-            assert abs(r2) <= 1e-10 * (1 + abs(c1 * c1 + v))
-
-
 class TestJacobians:
     def test_worked_example(self):
         mo = MomentEstimate(0.0, 1.0, 10, 0.0)
@@ -132,31 +114,6 @@ class TestJacobians:
         jac = projection_jacobians(mo, af)
         assert (jac.da_dmu1, jac.da_dmu2, jac.db_dmu1, jac.db_dmu2) == \
             (0.0, -0.5, -1.0, 0.0)
-
-    def test_fd_agreement_50_draws(self):
-        rng = SeededRng(22, 1)
-        worst = 0.0
-        for _ in range(50):
-            mu1 = float(rng.uniform(()) * 2 - 1)
-            sig2 = float(rng.uniform(()) * 2 + 0.05)
-            c1 = float(rng.uniform(()) - 0.5)
-            v = float(rng.uniform(()) * 2 + 0.1)
-            tg = _targets(c1, c1 * c1 + v)
-            mo = MomentEstimate(mu1, mu1 * mu1 + sig2, 10, 0.0)
-            jac = projection_jacobians(mo, solve_affine(mo, tg))
-            h = 1e-6
-
-            def ab(m1, m2):
-                a = solve_affine(MomentEstimate(m1, m2, 10, 0.0), tg)
-                return np.array([a.alpha, a.beta])
-
-            mu2 = mo.mu2
-            fd1 = (ab(mu1 + h, mu2) - ab(mu1 - h, mu2)) / (2 * h)
-            fd2 = (ab(mu1, mu2 + h) - ab(mu1, mu2 - h)) / (2 * h)
-            an = np.array([[jac.da_dmu1, jac.db_dmu1], [jac.da_dmu2, jac.db_dmu2]])
-            fd = np.stack([fd1, fd2])
-            worst = max(worst, float(np.max(np.abs(an - fd) / np.maximum(1e-6, np.abs(fd)))))
-        assert worst <= 1e-6
 
     def test_floor_active_jacobians_finite(self):
         mo = MomentEstimate(0.5, 0.25 + 1e-12, 10, 0.0)  # variance below the floor
@@ -187,7 +144,7 @@ class TestMomentGrads:
 
     def test_unbiasedness_over_disjoint_batches(self):
         cfg, p = _net(seed=7, width=6)
-        cloud = spatial_cloud(200 * 40, DOM, kind="sobol", skip=0).points
+        cloud = spatial_cloud(200 * 40, DOM, skip=0).points
         g_full, _ = moment_grad_estimates(p, cloud, 0.2)
         ests = []
         for k in range(40):
@@ -334,25 +291,6 @@ class TestSameBatchShift:
             c1 = float(rng.uniform(()))
             _, shifted = same_batch_shift(vals, c1)
             assert abs(shifted.mean() - c1) <= 1e-14
-
-
-def test_exact_conservation_random_nets():
-    from cpl.pde import make_problem
-    prob = make_problem("sine_gordon_nd", dim=1)
-    tg = prob.domain_averaged_targets()
-    cloud = spatial_cloud(4096, prob.domain, kind="sobol", skip=0).points
-    for seed in range(6):
-        cfg = NetworkConfig(in_dim=2, hidden_layers=4, width=24, seed=seed)
-        p = init_params(cfg)
-        t = 0.15 * seed
-        mo = estimate_moments(p, cloud, t)
-        af = solve_affine(mo, tg)
-        u = forward_array(p, np.concatenate(
-            [cloud, np.full((cloud.shape[0], 1), t)], axis=1))
-        ut = af.alpha * u + af.beta
-        c1b, c2b, _ = tg.at(t)
-        assert abs(ut.mean() - c1b) <= 1e-10 * (1 + abs(c1b))
-        assert abs((ut * ut).mean() - c2b) <= 1e-10 * (1 + abs(c2b))
 
 
 _MU1 = st.one_of(st.sampled_from([0.0, -0.0, 1e3, -1e3, 1e6, -1e6]),

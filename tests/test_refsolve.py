@@ -37,6 +37,7 @@ def test_wave_mass_constant(wave_table):
     assert drift <= 1e-3
 
 
+@pytest.mark.slow
 def test_kdv_invariants_grid_consistent(ref_cache):
     # physical boundary flux makes c(t) drift, so the oracle is agreement of
     # the tabulated trajectories across grid refinement

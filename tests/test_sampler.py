@@ -93,7 +93,7 @@ def test_map_to_domain_endpoints():
 
 def test_mapped_sobol_mean():
     dom = Domain((0.0,), (2.0,), 1.0)
-    cloud = spatial_cloud(4096, dom, kind="sobol", skip=0)
+    cloud = spatial_cloud(4096, dom, skip=0)
     assert abs(cloud.points.mean() - 1.0) <= 1e-3
 
 
@@ -115,8 +115,6 @@ def test_sample_subsets_size_error():
         sample_subsets(3, 4, 2, SeededRng(0, 1))
 
 
-def test_spatial_cloud_refuses_other_kinds_and_dims_beyond_the_table():
+def test_spatial_cloud_refuses_dims_beyond_the_table():
     with pytest.raises(ConfigError):
-        spatial_cloud(16, Domain((0.0,) * 65, (1.0,) * 65, 1.0), kind="sobol")
-    with pytest.raises(ConfigError):
-        spatial_cloud(16, Domain((0.0,), (1.0,), 1.0), kind="uniform")
+        spatial_cloud(16, Domain((0.0,) * 65, (1.0,) * 65, 1.0))

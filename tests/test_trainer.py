@@ -61,32 +61,6 @@ class TestConfigValidation:
 
 
 class TestSdifpStep:
-    def test_full_coupling_matches_fd(self, advection_table):
-        prob = _prob_with_table("advection1d", advection_table)
-        targets = prob.domain_averaged_targets()
-        tc = TrainConfig(problem="advection1d", method="sdifp", estimator="full",
-                         batch_n=150, cloud_m=150, n_time_slices=1, n_ic=150,
-                         n_bc=8, width=6, hidden_layers=2, seed=5).validate()
-        net_cfg, params = _params(1, seed=5)
-        cloud = spatial_cloud(150, prob.domain, kind="sobol", skip=0)
-        plan = plan_step(prob, tc, RngSet(3))
-        plan.slices = [cloud.points.copy()]
-        plan.ic_X = cloud.points.copy()
-        plan.batch_n = 150
-        g, diag, _ = step_sdifp(params, prob, tc, plan, cloud.points, targets)
-        rng = np.random.default_rng(0)
-        for _ in range(4):
-            v = rng.standard_normal(params.flat.size)
-            v /= np.linalg.norm(v)
-            h = 1e-6
-
-            def f(theta):
-                return sdifp_coupled_objective(MLPParams(net_cfg, theta.copy()),
-                                               prob, tc, plan, cloud.points, targets)
-
-            fd = (f(params.flat + h * v) - f(params.flat - h * v)) / (2 * h)
-            assert abs(float(g @ v) - fd) / max(1e-9, abs(fd)) <= 1e-5
-
     def test_single_term_problem_estimators_coincide(self, advection_table):
         # with the full index set, ds_uge sampling degenerates to the plain path
         prob = _prob_with_table("advection1d", advection_table)
@@ -95,7 +69,7 @@ class TestSdifpStep:
                            cloud_m=128, n_time_slices=2, n_ic=8, n_bc=8,
                            width=6, hidden_layers=2, seed=1)
         net_cfg, params = _params(1, seed=1)
-        cloud = spatial_cloud(128, prob.domain, kind="sobol", skip=0)
+        cloud = spatial_cloud(128, prob.domain, skip=0)
         full = dataclasses.replace(base, estimator="full").validate()
         uge = dataclasses.replace(base, estimator="ds_uge", size_i=2, size_j=2).validate()
         plan_a = plan_step(prob, full, RngSet(2))
@@ -115,7 +89,7 @@ class TestSdifpStep:
                          cloud_m=128, n_time_slices=1, n_ic=6, n_bc=6,
                          width=6, hidden_layers=2, seed=9).validate()
         net_cfg, params = _params(2, seed=9)
-        cloud = spatial_cloud(128, prob.domain, kind="sobol", skip=0)
+        cloud = spatial_cloud(128, prob.domain, skip=0)
         plan = plan_step(prob, tc, RngSet(4))
         assert np.array_equal(plan.I, plan.J)
         assert len(plan.I) == 4
@@ -135,7 +109,7 @@ class TestSdifpStep:
                          cloud_m=128, n_time_slices=1, n_ic=6, n_bc=6,
                          width=6, hidden_layers=2, seed=11).validate()
         net_cfg, params = _params(2, seed=11)
-        cloud = spatial_cloud(128, prob.domain, kind="sobol", skip=0)
+        cloud = spatial_cloud(128, prob.domain, skip=0)
         plan = plan_step(prob, tc, RngSet(5))
         full = copy.copy(plan)
         full.I = np.arange(4)
@@ -160,7 +134,7 @@ class TestSdifpStep:
                            batch_n=8, cloud_m=128, n_time_slices=1, n_ic=8, n_bc=8,
                            width=6, hidden_layers=2, seed=13)
         net_cfg, params = _params(3, seed=13)
-        cloud = spatial_cloud(128, prob.domain, kind="sobol", skip=0)
+        cloud = spatial_cloud(128, prob.domain, skip=0)
         tc = dataclasses.replace(base, estimator="ds_uge", size_i=3, size_j=3).validate()
         plan = plan_step(prob, tc, RngSet(6))
         plan.I = np.array([0, 1, 2])
@@ -204,7 +178,7 @@ class TestBaselineSteps:
             for s, Xs in enumerate(plan.slices):
                 ts = float(plan.ts[s])
                 r = residual_sampled(prob, NetField(an, Xs, ts), range(prob.n_terms))
-                tot += float((r * r).sum()) / plan.batch_n
+                tot += float((r * r).sum()) / tc.batch_n
                 for coord, pts in plan.bc_assign.get(s, ()):
                     tot += tc.w_bc * neumann_loss(NetField(an, pts, ts), coord) \
                         * (pts.shape[0] / tc.n_bc)
@@ -269,7 +243,7 @@ class TestBaselineSteps:
                 a, b = scalars(an, ts, plan.proj_support[s + 1])
                 fld = AffineField(NetField(an, Xs, ts), a, b)
                 r = residual_sampled(prob, fld, range(prob.n_terms))
-                tot += float((r * r).sum()) / plan.batch_n
+                tot += float((r * r).sum()) / tc.batch_n
                 for coord, pts in plan.bc_assign.get(s, ()):
                     tot += tc.w_bc * neumann_loss(AffineField(
                         NetField(an, pts, ts), a, b), coord) * (pts.shape[0] / tc.n_bc)
@@ -310,7 +284,7 @@ class TestMemoryAccounting:
         net_cfg, params = _params(1, seed=3)
         nodes = []
         for m in (500, 5000):
-            cloud = spatial_cloud(m, prob.domain, kind="sobol", skip=0)
+            cloud = spatial_cloud(m, prob.domain, skip=0)
             plan = plan_step(prob, tc, RngSet(14))
             _, diag, _ = step_sdifp(params, prob, tc, plan, cloud.points, targets)
             nodes.append(diag.tape_nodes)
@@ -320,7 +294,7 @@ class TestMemoryAccounting:
         prob = _prob_with_table("advection1d", advection_table)
         targets = prob.domain_averaged_targets()
         net_cfg, params = _params(1, seed=3)
-        cloud = spatial_cloud(256, prob.domain, kind="sobol", skip=0)
+        cloud = spatial_cloud(256, prob.domain, skip=0)
         ns = np.array([16, 32, 64, 128])
         slots = []
         for n in ns:
@@ -351,7 +325,7 @@ class TestEvaluate:
                                 snaps=snaps, c1=np.zeros(5), c2=np.zeros(5), dt=1e-3)
         tc = TrainConfig(problem="advection1d", method="vanilla", eval_cloud=512,
                          width=6, hidden_layers=2, seed=6).validate()
-        cloud = spatial_cloud(256, prob.domain, kind="sobol", skip=0)
+        cloud = spatial_cloud(256, prob.domain, skip=0)
         rec = evaluate(params, prob, tc, targets, cloud.points, RngSet(7),
                        reference=ref, n_time_grid=8)
         assert rec.error_u == 0.0
@@ -364,7 +338,7 @@ class TestEvaluate:
         net_cfg, params = _params(1, seed=8)
         tc = TrainConfig(problem="advection1d", method="sdifp", eval_cloud=2048,
                          holdout_skip=0, width=6, hidden_layers=2, seed=8).validate()
-        cloud = spatial_cloud(2048, prob.domain, kind="sobol", skip=0)
+        cloud = spatial_cloud(2048, prob.domain, skip=0)
         rec = evaluate(params, prob, tc, targets, cloud.points, RngSet(9),
                        n_time_grid=8)
         c1_scale = 1 + abs(prob.invariant_targets(0.2)[0])
@@ -378,7 +352,7 @@ class TestEvaluate:
         tc = TrainConfig(problem="advection1d", method="sdifp", eval_cloud=100_000,
                          holdout_skip=5_000_000, width=16, hidden_layers=2,
                          seed=10).validate()
-        cloud = spatial_cloud(10_000, prob.domain, kind="sobol", skip=0)
+        cloud = spatial_cloud(10_000, prob.domain, skip=0)
         rec = evaluate(params, prob, tc, targets, cloud.points, RngSet(11),
                        n_time_grid=8)
         scale = 1 + abs(prob.invariant_targets(0.2)[0])
@@ -387,16 +361,6 @@ class TestEvaluate:
 
 
 class TestRunTraining:
-    def test_determinism(self):
-        tc = TrainConfig(problem="advection1d", method="sdifp", estimator="full",
-                         epochs=4, batch_n=16, cloud_m=256, n_time_slices=2,
-                         n_ic=8, n_bc=8, width=6, hidden_layers=2, seed=3,
-                         eval_every=2, eval_cloud=256, ref_nx=128)
-        r1 = run_training(tc)
-        r2 = run_training(tc)
-        assert np.array_equal(r1.params.flat, r2.params.flat)
-        assert r1.metrics == r2.metrics
-
     @pytest.mark.parametrize("method", ["vanilla", "soft", "discrete_proj", "sdifp"])
     def test_final_table_is_the_last_evaluation(self, method):
         # the last epoch lies off the evaluation cadence, and it still evaluates
@@ -426,7 +390,7 @@ class TestRunTraining:
         params = init_params(net_cfg)
         rngs = RngSet(4)
         opt = OptimizerState.fresh(params.flat.size)
-        cloud = spatial_cloud(512, prob.domain, kind="sobol", skip=0)
+        cloud = spatial_cloud(512, prob.domain, skip=0)
         for epoch in range(tc.epochs):
             plan = plan_step(prob, tc, rngs)
             g, diag, _ = step_sdifp(params, prob, tc, plan, cloud.points, targets)
@@ -468,10 +432,10 @@ class TestDetachedCloud:
         skips = []
         in_eval = []
 
-        def counting_cloud(m, domain, kind="sobol", skip=0):
+        def counting_cloud(m, domain, skip=0):
             if not in_eval:
                 skips.append(skip)
-            return real_cloud(m, domain, kind=kind, skip=skip)
+            return real_cloud(m, domain, skip=skip)
 
         def flagged_evaluate(*args, **kwargs):
             in_eval.append(True)
@@ -530,7 +494,7 @@ class TestAdditionalContracts:
         assert prob.n_terms == 1
         targets = prob.domain_averaged_targets()
         net_cfg, params = _params(1, seed=21)
-        cloud = spatial_cloud(128, prob.domain, kind="sobol", skip=0)
+        cloud = spatial_cloud(128, prob.domain, skip=0)
         uge = TrainConfig(problem="fokker_planck_linear_nd", dim=1, method="sdifp",
                           estimator="ds_uge", size_i=1, size_j=1, batch_n=8,
                           cloud_m=128, n_time_slices=1, n_ic=8, n_bc=8, width=6,
@@ -555,11 +519,10 @@ class TestAdditionalContracts:
         res = run_training(tc)
         params = res.params
         net_cfg = NetworkConfig(in_dim=2, hidden_layers=2, width=6, seed=17)
-        cloud = spatial_cloud(64, prob.domain, kind="sobol", skip=0)
+        cloud = spatial_cloud(64, prob.domain, skip=0)
         plan = plan_step(prob, tc, RngSet(23))
         plan.slices = [cloud.points.copy()]
         plan.ic_X = cloud.points.copy()
-        plan.batch_n = 64
         g, _, _ = step_sdifp(params, prob, tc, plan, cloud.points, targets)
         rng = np.random.default_rng(8)
         for _ in range(2):
