@@ -282,7 +282,7 @@ def main(argv=None) -> int:
     # set through the library; a count the environment sets is left alone.
     if not any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
         set_blas_threads(1)
-    # It also allocates two (chunk, width) activation buffers per call; fixed
+    # It also allocates its activation buffers in one block per call; fixed
     # malloc thresholds keep them in the heap instead of faulting them in anew.
     pin_heap()
     parser = make_parser()

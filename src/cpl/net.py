@@ -1,7 +1,7 @@
 """Backbone scalar network: tanh MLP over (x, t) with a linear head.
 
 Parameters live in one flat float64 vector with a per-layer shape table.
-``forward_array`` is the chunked value pass for detached quadrature and never
+``forward_array`` is the blocked value pass for detached quadrature and never
 touches a tape.  ``NetField`` evaluates the network on one batch: it runs the
 primal once and extends it to Taylor jets along any input coordinate, with one
 code path whether the parameters are tape leaves (``TapeNet``) or plain numpy
@@ -93,8 +93,10 @@ def _check_inputs(X):
         raise ValueError("non-finite network input")
 
 
-_FORWARD_CHUNK = 8192  # keep layer activations inside the cache
-_SPLIT_MIN = 1024      # below this a chunk costs less than handing half of it over
+_FORWARD_CHUNK = 8192     # the output is bitwise that of one BLAS call per chunk
+_SPLIT_MIN = 1024         # below this a chunk costs less than handing half of it over
+_BLOCK_BYTES = 512 << 10  # a block's activations at one layer: its input and output
+                          # fill half of a 2 MiB L2
 
 _helper = (None, None)  # (pid, executor) of the process that started it
 _helper_lock = threading.Lock()
@@ -135,10 +137,11 @@ def pin_heap():
 
     With glibc's moving defaults a block of a few MiB is served by a fresh
     mapping, or the free top of the heap that held it is handed back to the
-    system, so forward_array's (chunk, width) buffers page-fault in anew on
-    every call.  Blocks below 64 MiB now come from the heap, and the heap is
-    trimmed only when 256 MiB at its top are free.  Returns whether both
-    settings took; where mallopt is missing it does nothing.
+    system, so forward_array's activation buffers (one block of 2 MiB at
+    width 64) page-fault in anew on the next call.  Blocks below 64 MiB now
+    come from the heap, and the heap is trimmed only when 256 MiB at its top
+    are free.  Returns whether both settings took; where mallopt is missing
+    it does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -165,18 +168,18 @@ def _helper_pool():
         return _helper[1]
 
 
-def _forward_rows(layers, X, bufs, out, lo, hi, base):
+def _forward_block(layers, X, bufs, out, lo, hi):
     """Rows lo:hi of X through the network into out[lo:hi].
 
-    Activations go to rows lo-base:hi-base of the two ping-pong buffers, so
-    two calls over disjoint row ranges of one chunk can run at once.  Each
-    row's value depends only on the BLAS calls it is part of, and a range
-    that starts at a multiple of 4 keeps every row in the same position
-    relative to the kernels' row blocking as one call over the whole chunk.
+    Activations go to the first hi-lo rows of bufs[0] and bufs[1].
+    Each row's value depends only on the BLAS calls it is part of, and a
+    block that starts at a multiple of 4 from its chunk's start keeps every
+    row in the same position relative to the kernels' row blocking as one
+    call over the whole chunk.
     """
     h = X[lo:hi]
     for i, (W, b) in enumerate(layers[:-1]):
-        z = bufs[i % 2][lo - base:hi - base]
+        z = bufs[i % 2][:hi - lo]
         np.matmul(h, W.T, out=z)
         z += b
         np.tanh(z, out=z)
@@ -186,35 +189,71 @@ def _forward_rows(layers, X, bufs, out, lo, hi, base):
     out[lo:hi] += b_head[0]
 
 
+def _forward_rows(layers, X, bufs, out, blocks):
+    """One thread's blocks, in order, through its own two buffers."""
+    for lo, hi in blocks:
+        _forward_block(layers, X, bufs, out, lo, hi)
+
+
+def _cut(lo, hi, block):
+    """lo:hi in blocks of `block` rows, the last block taking the remainder.
+
+    No block is shorter than `block` unless it is all of lo:hi: a short
+    remainder block of its own changes output bits.
+    """
+    starts = list(range(lo, hi, block))[:max(1, (hi - lo) // block)]
+    return list(zip(starts, starts[1:] + [hi]))
+
+
+def _block_plan(n, block, split):
+    """Per chunk of n rows, the blocks the caller runs and those the helper runs.
+
+    With `split`, a chunk of at least _SPLIT_MIN rows is split near its middle
+    at a multiple of 4 and the helper runs the second half; otherwise the
+    caller runs the whole chunk and the helper nothing.
+    """
+    plan = []
+    for s in range(0, n, _FORWARD_CHUNK):
+        e = min(s + _FORWARD_CHUNK, n)
+        mid = s + (e - s) // 8 * 4 if split and e - s >= _SPLIT_MIN else e
+        plan.append((_cut(s, mid, block), _cut(mid, e, block)))
+    return plan
+
+
 def forward_array(params: MLPParams, X: np.ndarray) -> np.ndarray:
     """Plain value evaluation over a batch X (B, in_dim); touches no tape.
 
-    This is the detached-quadrature hot path: evaluated in row chunks with
-    in-place bias/activation so large clouds stay memory-friendly.  With a
-    single-threaded BLAS each chunk of at least _SPLIT_MIN rows is split near
-    its middle at a multiple of 4; a helper thread runs the second half while
-    the caller runs the first.  The output is bitwise the same as a serial
-    pass over the same chunks, and the rows in flight stay one chunk.
+    This is the detached-quadrature hot path.  The rows are cut into chunks of
+    _FORWARD_CHUNK.  With a single-threaded BLAS each chunk of at least
+    _SPLIT_MIN rows is split near its middle at a multiple of 4; a helper
+    thread runs the second half while the caller runs the first.  Each half,
+    or unsplit chunk, goes through the network in blocks of _BLOCK_BYTES of
+    activations, a multiple of 16 rows, so a layer's input and output stay in
+    the L2 cache.  The caller allocates every activation buffer, two per
+    thread of at most twice the block rows, so the working memory does not
+    grow with the chunk or with X.  The output is bitwise the same as a
+    serial pass over the same chunks.
     """
     _check_inputs(X)
     layers = params.layers()
-    n = X.shape[0]
-    rows = min(n, _FORWARD_CHUNK)
     width = layers[0][0].shape[0]
-    bufs = (np.empty((rows, width)), np.empty((rows, width)))
-    out = np.empty(n)
     split = blas_threads() == 1
-    for s in range(0, n, _FORWARD_CHUNK):
-        e = min(s + _FORWARD_CHUNK, n)
-        if not split or e - s < _SPLIT_MIN:
-            _forward_rows(layers, X, bufs, out, s, e, s)
+    block = max(16, _BLOCK_BYTES // (8 * width) // 16 * 16)
+    plan = _block_plan(X.shape[0], block, split)
+    rows = max((hi - lo for part in plan for blocks in part for lo, hi in blocks), default=0)
+    # all from this thread's heap: a buffer the helper allocated would come
+    # from a second glibc arena and hold pages of its own
+    bufs = np.empty((4 if split else 2, rows, width))
+    out = np.empty(X.shape[0])
+    for mine, theirs in plan:
+        if not theirs:
+            _forward_rows(layers, X, bufs, out, mine)
             continue
-        mid = s + (e - s) // 8 * 4
-        fut = _helper_pool().submit(_forward_rows, layers, X, bufs, out, mid, e, s)
+        fut = _helper_pool().submit(_forward_rows, layers, X, bufs[2:], out, theirs)
         try:
-            _forward_rows(layers, X, bufs, out, s, mid, s)
+            _forward_rows(layers, X, bufs, out, mine)
         finally:
-            wait((fut,))  # the halves share the buffers: never leave one running
+            wait((fut,))  # never leave the helper running past this call
         fut.result()
     return out
 

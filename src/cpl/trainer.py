@@ -15,6 +15,7 @@ deterministic function of (parameters, plan) and oracle tests can replay it.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field as dfield
 
@@ -423,9 +424,13 @@ def projection_provider(params, problem, cfg, targets, smc_points, rngs):
     The projected method solves the closed form from detached moments over
     the training cloud; discrete_proj recomputes its support-coupled scalars
     the way training does (fresh random support in cloud mode); the
-    unprojected methods return the identity.
+    unprojected methods return the identity.  The projected method solves
+    each time once: a reference time that equals a grid time (0 and T) reuses
+    its (alpha, beta).  discrete_proj solves every call anew, since its cloud
+    mode draws each support from rngs.eval.
     """
     if cfg.method == "sdifp":
+        @functools.cache
         def provide(t):
             af = solve_affine(estimate_moments(params, smc_points, t), targets)
             return af.alpha, af.beta

@@ -8,7 +8,6 @@ per its own definition, while criteria 1-5 stay hard.
 """
 
 import copy
-import dataclasses
 import itertools
 import time
 
@@ -17,8 +16,7 @@ import pytest
 
 from cpl.autodiff import Tape, finite_diff_gradient
 from cpl.baselines import proj_combined, proj_linear, proj_quadratic
-from cpl.net import (ArrayNet, MLPParams, NetworkConfig, TapeNet, forward_array,
-                     init_params)
+from cpl.net import MLPParams, NetworkConfig, TapeNet, forward_array, init_params
 from cpl.pde import make_problem
 from cpl.projection import (MomentEstimate, TargetInvariants, estimate_moments,
                             fixed_set_shift, moment_grad_estimates, projected_grad,

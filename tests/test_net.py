@@ -1,8 +1,10 @@
+import gc
 import os
 import resource
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,20 +290,43 @@ def blas_threads(monkeypatch):
 
 @pytest.fixture
 def row_calls(monkeypatch):
-    """Record (lo, hi, ran on the helper thread) of every half forward_array runs."""
-    real = net._forward_rows
+    """Record (lo, hi, ran on the helper thread) of every block forward_array runs."""
+    real = net._forward_block
     calls = []
     caller = threading.get_ident()
 
-    def spy(layers, X, bufs, out, lo, hi, base):
+    def spy(layers, X, bufs, out, lo, hi):
         calls.append((lo, hi, threading.get_ident() != caller))
-        real(layers, X, bufs, out, lo, hi, base)
+        real(layers, X, bufs, out, lo, hi)
 
-    monkeypatch.setattr(net, "_forward_rows", spy)
+    monkeypatch.setattr(net, "_forward_block", spy)
     return calls
 
 
-FORWARD_SIZES = (1, 63, 64, 1023, 1024, 8191, 8192, 8193, 8192 + 4097, 10001, 50000)
+def _assert_block_layout(calls, n, block):
+    """The blocks tile 0:n; none crosses a chunk or a split point, each starts
+    at a multiple of 4, and one shorter than `block` is a whole half or chunk."""
+    calls = sorted(calls)
+    assert [lo for lo, _, _ in calls] == [0] + [hi for _, hi, _ in calls[:-1]]
+    assert sum(hi - lo for lo, hi, _ in calls) == n
+    for s in range(0, n, 8192):
+        e = min(s + 8192, n)
+        inside = [c for c in calls if s <= c[0] < e]
+        assert inside[-1][1] == e
+        helper = [lo for lo, _, on_helper in inside if on_helper]
+        # every chunk of at least 1024 rows has its second half on the helper
+        mid = s + (e - s) // 8 * 4 if helper else e
+        if e - s >= 1024:
+            assert helper and helper[0] == mid
+        halves = ((s, mid), (mid, e))
+        for lo, hi, on_helper in inside:
+            assert lo % 4 == 0 and hi - lo < 2 * block
+            assert (lo >= mid) == on_helper
+            assert hi - lo >= block or (lo, hi) in halves
+
+
+FORWARD_SIZES = (1, 63, 64, 1023, 1024, 8191, 8192, 8193, 8194, 8210, 8192 + 4097,
+                 10001, 16385, 16402, 50000)
 
 
 @pytest.mark.parametrize("width", [64, 128])
@@ -314,11 +339,7 @@ def test_forward_array_split_bitwise_equals_serial(blas_threads, row_calls, widt
         row_calls.clear()
         X = X_all[:n]
         assert np.array_equal(forward_array(p, X), _serial_forward(p, X)), n
-        # every chunk of at least 1024 rows has its second half on the helper
-        chunks = [min(8192, n - s) for s in range(0, n, 8192)]
-        assert sum(helper for _, _, helper in row_calls) == sum(c >= 1024 for c in chunks)
-        assert sum(hi - lo for lo, hi, _ in row_calls) == n
-        assert all(lo % 4 == 0 for lo, _, _ in row_calls)
+        _assert_block_layout(row_calls, n, 65536 // width)
 
 
 def test_forward_array_multithreaded_blas_does_not_split(blas_threads, row_calls):
@@ -326,7 +347,35 @@ def test_forward_array_multithreaded_blas_does_not_split(blas_threads, row_calls
     p = init_params(NetworkConfig(in_dim=2, width=64, seed=3))
     X = np.random.default_rng(5).random((10001, 2))
     assert np.array_equal(forward_array(p, X), _serial_forward(p, X))
-    assert row_calls == [(0, 8192, False), (8192, 10001, False)]
+    # 1024-row blocks; the short last chunk is one block of its own
+    assert row_calls == ([(k, k + 1024, False) for k in range(0, 8192, 1024)]
+                         + [(8192, 10001, False)])
+
+
+def test_forward_array_memory_does_not_grow_with_rows(blas_threads):
+    """Beyond its output the call allocates its activation buffers: as much at
+    10,000 rows as at 50,000, and at most four buffers of twice 1,024 rows.
+    tracemalloc also counts each thread's 64 KiB ufunc buffer of the bias add,
+    whose lifetimes overlap or not as the threads happen to run, and the
+    Python objects of the call (futures, frames), a few hundred bytes."""
+    blas_threads(1)
+    p = init_params(NetworkConfig(in_dim=2, width=64, seed=2))
+    X = np.random.default_rng(8).random((50_000, 2))
+    forward_array(p, X)                 # the helper thread and its queue exist
+    extra = []
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for n in (10_000, 50_000):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            forward_array(p, X[:n])
+            extra.append(tracemalloc.get_traced_memory()[1] - before - 8 * n)
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert abs(extra[0] - extra[1]) <= 2 * 65536 + 4096
+    assert extra[0] <= 4 * (2 * 1024) * 64 * 8
 
 
 def test_forward_array_in_forked_child(blas_threads, row_calls):
@@ -362,19 +411,19 @@ def test_forward_array_in_forked_child(blas_threads, row_calls):
 def test_forward_array_error_in_either_half_waits_for_the_other(blas_threads, monkeypatch,
                                                                 faulty_half):
     blas_threads(1)
-    real = net._forward_rows
+    real = net._forward_block
     caller = threading.get_ident()
     finished = []
 
-    def rows(layers, X, bufs, out, lo, hi, base):
+    def rows(layers, X, bufs, out, lo, hi):
         on_helper = threading.get_ident() != caller
         if on_helper == (faulty_half == "helper"):
             raise RuntimeError("fault in one half")
         time.sleep(0.05)                # still running when the other half fails
-        real(layers, X, bufs, out, lo, hi, base)
+        real(layers, X, bufs, out, lo, hi)
         finished.append(lo)
 
-    monkeypatch.setattr(net, "_forward_rows", rows)
+    monkeypatch.setattr(net, "_forward_block", rows)
     p = init_params(NetworkConfig(in_dim=2, width=16, seed=1))
     X = np.random.default_rng(7).random((2048, 2))
     with pytest.raises(RuntimeError, match="fault in one half"):
@@ -412,8 +461,9 @@ def test_forward_array_concurrent_callers_share_the_helper(blas_threads):
 
 
 def test_pinned_heap_keeps_forward_buffers_paged_in():
-    """Unpinned, glibc handed the two (chunk, width) buffers back to the system
-    after each call, and every call faulted about 1,000 pages in anew."""
+    """Unpinned, glibc hands part of the activation buffers (2 MiB in one block
+    here) back to the system after each call, and each of these calls faults
+    about 50 pages in anew; pinned, ten calls fault a handful."""
     if not net.pin_heap():
         pytest.skip("the C library has no glibc mallopt")
     p = init_params(NetworkConfig(in_dim=2, hidden_layers=2, width=64, seed=0))
@@ -422,4 +472,4 @@ def test_pinned_heap_keeps_forward_buffers_paged_in():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(10):
         forward_array(p, X)
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
