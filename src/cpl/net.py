@@ -97,6 +97,8 @@ _FORWARD_CHUNK = 8192     # the output is bitwise that of one BLAS call per chun
 _SPLIT_MIN = 1024         # below this a chunk costs less than handing half of it over
 _BLOCK_BYTES = 512 << 10  # a block's activations at one layer: its input and output
                           # fill half of a 2 MiB L2
+_BLOCK_MIN = 64           # rows; the smallest block checked bitwise (width 1024),
+                          # while 16-row blocks at width 64 changed bits
 
 _helper = (None, None)  # (pid, executor) of the process that started it
 _helper_lock = threading.Lock()
@@ -172,10 +174,10 @@ def _forward_block(layers, X, bufs, out, lo, hi):
     """Rows lo:hi of X through the network into out[lo:hi].
 
     Activations go to the first hi-lo rows of bufs[0] and bufs[1].
-    Each row's value depends only on the BLAS calls it is part of, and a
-    block that starts at a multiple of 4 from its chunk's start keeps every
-    row in the same position relative to the kernels' row blocking as one
-    call over the whole chunk.
+    Each row's value depends only on the BLAS calls it is part of.  With a
+    single-threaded BLAS, a block that starts at a multiple of 4 from its
+    chunk's start keeps every row in the same position relative to the
+    kernels' row blocking as one call over the whole chunk.
     """
     h = X[lo:hi]
     for i, (W, b) in enumerate(layers[:-1]):
@@ -228,17 +230,19 @@ def forward_array(params: MLPParams, X: np.ndarray) -> np.ndarray:
     _SPLIT_MIN rows is split near its middle at a multiple of 4; a helper
     thread runs the second half while the caller runs the first.  Each half,
     or unsplit chunk, goes through the network in blocks of _BLOCK_BYTES of
-    activations, a multiple of 16 rows, so a layer's input and output stay in
-    the L2 cache.  The caller allocates every activation buffer, two per
-    thread of at most twice the block rows, so the working memory does not
-    grow with the chunk or with X.  The output is bitwise the same as a
-    serial pass over the same chunks.
+    activations, a multiple of 16 rows and at least _BLOCK_MIN, so a layer's
+    input and output stay in the L2 cache.  The caller allocates every
+    activation buffer, two per thread of at most twice the block rows, so the
+    working memory does not grow with the chunk or with X.  A multi-threaded
+    BLAS cuts each call among its threads at rows that depend on the call's
+    size, so there each chunk stays one call, in two buffers of its rows.
+    The output is bitwise the same as a serial pass over the same chunks.
     """
     _check_inputs(X)
     layers = params.layers()
     width = layers[0][0].shape[0]
     split = blas_threads() == 1
-    block = max(16, _BLOCK_BYTES // (8 * width) // 16 * 16)
+    block = max(_BLOCK_MIN, _BLOCK_BYTES // (8 * width) // 16 * 16) if split else _FORWARD_CHUNK
     plan = _block_plan(X.shape[0], block, split)
     rows = max((hi - lo for part in plan for blocks in part for lo, hi in blocks), default=0)
     # all from this thread's heap: a buffer the helper allocated would come

@@ -314,10 +314,14 @@ def _assert_block_layout(calls, n, block):
         inside = [c for c in calls if s <= c[0] < e]
         assert inside[-1][1] == e
         helper = [lo for lo, _, on_helper in inside if on_helper]
-        # every chunk of at least 1024 rows has its second half on the helper
-        mid = s + (e - s) // 8 * 4 if helper else e
+        # a chunk of at least 1024 rows has its second half on the helper; a
+        # smaller one runs entirely on the caller
         if e - s >= 1024:
+            mid = s + (e - s) // 8 * 4
             assert helper and helper[0] == mid
+        else:
+            mid = e
+            assert not helper
         halves = ((s, mid), (mid, e))
         for lo, hi, on_helper in inside:
             assert lo % 4 == 0 and hi - lo < 2 * block
@@ -329,7 +333,7 @@ FORWARD_SIZES = (1, 63, 64, 1023, 1024, 8191, 8192, 8193, 8194, 8210, 8192 + 409
                  10001, 16385, 16402, 50000)
 
 
-@pytest.mark.parametrize("width", [64, 128])
+@pytest.mark.parametrize("width", [64, 128, 256])
 @pytest.mark.parametrize("in_dim", [2, 17])
 def test_forward_array_split_bitwise_equals_serial(blas_threads, row_calls, width, in_dim):
     blas_threads(1)
@@ -343,13 +347,18 @@ def test_forward_array_split_bitwise_equals_serial(blas_threads, row_calls, widt
 
 
 def test_forward_array_multithreaded_blas_does_not_split(blas_threads, row_calls):
+    """A multi-threaded BLAS cuts each call among its threads at rows set by
+    the call's size, so blocks inside a chunk would change bits (1024-row
+    blocks did at 8186 rows): each chunk stays one call on the caller."""
     blas_threads(2)
-    p = init_params(NetworkConfig(in_dim=2, width=64, seed=3))
-    X = np.random.default_rng(5).random((10001, 2))
-    assert np.array_equal(forward_array(p, X), _serial_forward(p, X))
-    # 1024-row blocks; the short last chunk is one block of its own
-    assert row_calls == ([(k, k + 1024, False) for k in range(0, 8192, 1024)]
-                         + [(8192, 10001, False)])
+    X_all = np.random.default_rng(5).random((16402, 2))
+    for width in (64, 128):
+        p = init_params(NetworkConfig(in_dim=2, width=width, seed=3))
+        for n in (8186, 10001, 16402):
+            row_calls.clear()
+            X = X_all[:n]
+            assert np.array_equal(forward_array(p, X), _serial_forward(p, X)), (width, n)
+            assert row_calls == [(s, min(s + 8192, n), False) for s in range(0, n, 8192)]
 
 
 def test_forward_array_memory_does_not_grow_with_rows(blas_threads):
