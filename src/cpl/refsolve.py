@@ -82,9 +82,15 @@ def cfl_limit(problem: PDEProblem, dx):
 
 
 def _grid_step(problem: PDEProblem, nx):
-    """Spacing of the nx-point reference grid; fewer than two points is no grid."""
-    if nx < 2:
-        raise ConfigError(f"a reference grid needs at least 2 points per axis, got nx={nx}")
+    """Spacing of the nx-point reference grid; fewer than two points is no grid.
+
+    KdV's five-point stencil needs a third point: its reflected ghost cells
+    at each wall are the two nearest interior points.
+    """
+    least = 3 if problem.name == "kdv1d" else 2
+    if nx < least:
+        raise ConfigError(f"a {problem.name} reference grid needs at least {least} "
+                          f"points per axis, got nx={nx}")
     return (problem.domain.upper[0] - problem.domain.lower[0]) / (nx - 1)
 
 
@@ -92,60 +98,119 @@ def suggest_dt(problem: PDEProblem, nx):
     return 0.9 * cfl_limit(problem, _grid_step(problem, nx))
 
 
-def _pad_reflect(u, width):
-    return np.pad(u, width, mode="reflect")
+def _reflect_edges(g, u, w):
+    """Copy u into the ghost array g and fill its w ghost cells per side.
+
+    The edges follow ``np.pad(u, w, mode="reflect")``: the mirror image about
+    the end point, which is itself not repeated.
+    """
+    g[w:-w] = u
+    g[:w] = u[w:0:-1]
+    g[-w:] = u[-2:-w - 2:-1]
 
 
-def _rhs_factory(problem: PDEProblem, dx):
+def _rhs_factory(problem: PDEProblem, dx, nx):
+    """Return ``(rhs, is_system)``; ``rhs(state, out)`` writes d(state)/dt into out.
+
+    Stencils read one preallocated ghost-cell array per problem, so a call
+    allocates nothing.  Each expression keeps the operation order of the
+    plain array formula in its comment, so the values are the same bits.
+    """
     name = problem.name
     c = problem.constants
+    two_dx, dx2 = 2 * dx, dx * dx
 
     if name == "advection1d":
-        speed = c["c"]
+        # -c * (p[2:] - p[:-2]) / (2 dx)
+        neg_speed = -c["c"]
+        g = np.empty(nx + 2)
+        lo, hi = g[:-2], g[2:]
 
-        def rhs(u):
-            p = _pad_reflect(u, 1)
-            ux = (p[2:] - p[:-2]) / (2 * dx)
-            return -speed * ux
+        def rhs(u, out):
+            _reflect_edges(g, u, 1)
+            np.subtract(hi, lo, out=out)
+            out /= two_dx
+            out *= neg_speed
         return rhs, False
 
-    if name == "reaction_diffusion1d":
+    if name in ("reaction_diffusion1d", "wave1d"):
+        # D * (p[2:] - 2 u + p[:-2]) / dx^2 + k u, or (v, c^2 * uxx) for the wave
+        g = np.empty(nx + 2)
+        lo, hi = g[:-2], g[2:]
+
+        def uxx_times(u, scale, out):
+            _reflect_edges(g, u, 1)
+            np.multiply(u, 2.0, out=out)
+            np.subtract(hi, out, out=out)
+            out += lo
+            out /= dx2
+            out *= scale
+
+        if name == "wave1d":
+            speed2 = c["c"] ** 2
+
+            def rhs(state, out):
+                np.copyto(out[0], state[1])
+                uxx_times(state[0], speed2, out[1])
+            return rhs, True
+
         D, k = c["D"], c["k"]
+        ku = np.empty(nx)
 
-        def rhs(u):
-            p = _pad_reflect(u, 1)
-            uxx = (p[2:] - 2 * u + p[:-2]) / (dx * dx)
-            return D * uxx + k * u
+        def rhs(u, out):
+            uxx_times(u, D, out)
+            np.multiply(u, k, out=ku)
+            out += ku
         return rhs, False
-
-    if name == "wave1d":
-        speed2 = c["c"] ** 2
-
-        def rhs(state):
-            u, v = state
-            p = _pad_reflect(u, 1)
-            uxx = (p[2:] - 2 * u + p[:-2]) / (dx * dx)
-            return np.stack([v, speed2 * uxx])
-        return rhs, True
 
     if name == "kdv1d":
-        a, b = c["a"], c["b"]
+        # -a u (p[3:-1] - p[1:-3]) / (2 dx)
+        #   - b (p[4:] - 2 p[3:-1] + 2 p[1:-3] - p[:-4]) / (2 dx^3)
+        neg_a, b = -c["a"], c["b"]
+        two_dx3 = 2 * dx ** 3
+        g, twice = np.empty(nx + 4), np.empty(nx + 4)
+        m2, m1, p1, p2 = g[:-4], g[1:-3], g[3:-1], g[4:]
+        twice_m1, twice_p1 = twice[1:-3], twice[3:-1]
+        scratch = np.empty(nx), np.empty(nx)
 
-        def rhs(u):
-            p = _pad_reflect(u, 2)
-            ux = (p[3:-1] - p[1:-3]) / (2 * dx)
-            uxxx = (p[4:] - 2 * p[3:-1] + 2 * p[1:-3] - p[:-4]) / (2 * dx ** 3)
-            return -a * u * ux - b * uxxx
+        def rhs(u, out):
+            uxxx, ux = scratch
+            _reflect_edges(g, u, 2)
+            np.multiply(g, 2.0, out=twice)
+            np.subtract(p2, twice_p1, out=uxxx)
+            uxxx += twice_m1
+            uxxx -= m2
+            uxxx /= two_dx3
+            uxxx *= b
+            np.subtract(p1, m1, out=ux)
+            ux /= two_dx
+            np.multiply(u, neg_a, out=out)
+            out *= ux
+            out -= uxxx
         return rhs, False
 
     if name == "advection2d":
-        speed = c["c"]
+        # -c * (ux + uy); the stencils read edge rows and columns, never corners
+        neg_speed = -c["c"]
+        g = np.zeros((nx + 2, nx + 2))
+        inner = g[1:-1, 1:-1]
+        west, east = g[:-2, 1:-1], g[2:, 1:-1]
+        south, north = g[1:-1, :-2], g[1:-1, 2:]
+        scratch = np.empty((nx, nx))
 
-        def rhs(u):
-            p = _pad_reflect(u, 1)
-            ux = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2 * dx)
-            uy = (p[1:-1, 2:] - p[1:-1, :-2]) / (2 * dx)
-            return -speed * (ux + uy)
+        def rhs(u, out):
+            uy = scratch
+            inner[...] = u
+            g[0, 1:-1] = u[1]
+            g[-1, 1:-1] = u[-2]
+            g[1:-1, 0] = u[:, 1]
+            g[1:-1, -1] = u[:, -2]
+            np.subtract(east, west, out=out)
+            out /= two_dx
+            np.subtract(north, south, out=uy)
+            uy /= two_dx
+            out += uy
+            out *= neg_speed
         return rhs, False
 
     raise ConfigError(f"no reference solver for problem {name!r}")
@@ -213,13 +278,14 @@ def solve_reference(problem: PDEProblem, nx, dt, n_snapshots=65,
         def integrals(u):
             return float(w1 @ u @ w1), float(w1 @ (u * u) @ w1)
 
-    rhs, is_system = _rhs_factory(problem, dx)
+    rhs, is_system = _rhs_factory(problem, dx, nx)
     flux = _boundary_flux_factory(problem, dx) if d == 1 else None
     if is_system:
         v = problem.v0(X) if problem.v0 is not None else np.zeros_like(u)
         state = np.stack([u, v])
     else:
-        state = u
+        state = np.array(u, dtype=float)
+    uu = state[0] if is_system else state   # a view: state is updated in place
 
     T = problem.t_final
     n_steps = int(np.ceil(T / dt))
@@ -228,8 +294,7 @@ def solve_reference(problem: PDEProblem, nx, dt, n_snapshots=65,
     ts, snaps, c1s, c2s, fluxes = [], [], [], [], []
     flux_int = 0.0
 
-    def record(step, state):
-        uu = state[0] if is_system else state
+    def record(step):
         ts.append(min(step * dt, T))
         snaps.append(uu.copy())
         a, b = integrals(uu)
@@ -237,23 +302,39 @@ def solve_reference(problem: PDEProblem, nx, dt, n_snapshots=65,
         c2s.append(b)
         fluxes.append(flux_int)
 
-    record(0, state)
+    # classic RK4 in six buffers: state, the stage argument and k1..k4, with
+    # the operation order of state + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)
+    stage, k1, k2, k3, k4 = (np.empty_like(state) for _ in range(5))
+    f_prev = flux(uu) if flux is not None else None
+    record(0)
     for step in range(1, n_steps + 1):
         h = dt if step * dt <= T else T - (step - 1) * dt
-        if flux is not None:
-            f_prev = flux(state[0] if is_system else state)
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > _BLOWUP:
+        rhs(state, k1)
+        np.multiply(k1, 0.5 * h, out=stage)
+        stage += state
+        rhs(stage, k2)
+        np.multiply(k2, 0.5 * h, out=stage)
+        stage += state
+        rhs(stage, k3)
+        np.multiply(k3, h, out=stage)
+        stage += state
+        rhs(stage, k4)
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= h / 6.0
+        state += k1
+        # one reduction for both checks: a NaN or an inf fails the comparison
+        if not np.abs(state, out=k1).max() <= _BLOWUP:
             raise DivergenceError(f"{problem.name} reference blew up at step {step}")
         if flux is not None:
-            f_new = flux(state[0] if is_system else state)
+            f_new = flux(uu)
             flux_int += 0.5 * h * (f_prev + f_new)
+            f_prev = f_new
         if step in snap_steps:
-            record(step, state)
+            record(step)
 
     ref = ReferenceSolution(problem_name=problem.name, axes=axes,
                             ts=np.asarray(ts), snaps=np.asarray(snaps),

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +39,6 @@ def test_wave_mass_constant(wave_table):
     assert drift <= 1e-3
 
 
-@pytest.mark.slow
 def test_kdv_invariants_grid_consistent(ref_cache):
     # physical boundary flux makes c(t) drift, so the oracle is agreement of
     # the tabulated trajectories across grid refinement
@@ -193,3 +194,204 @@ def test_cache_save_failing_partway_leaves_no_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == [os.path.basename(path)]
     assert np.array_equal(solve_reference(prob, nx=128, dt=dt, cache_dir=str(tmp_path)).snaps,
                           ref.snaps)
+
+
+# -- the allocating np.pad march, kept as the in-place solver's bitwise oracle --
+
+def _padded_rhs(problem, dx):
+    c = problem.constants
+    name = problem.name
+
+    def pad(u, width):
+        return np.pad(u, width, mode="reflect")
+
+    if name == "advection1d":
+        def rhs(u):
+            p = pad(u, 1)
+            return -c["c"] * ((p[2:] - p[:-2]) / (2 * dx))
+    elif name == "reaction_diffusion1d":
+        def rhs(u):
+            p = pad(u, 1)
+            return c["D"] * ((p[2:] - 2 * u + p[:-2]) / (dx * dx)) + c["k"] * u
+    elif name == "wave1d":
+        def rhs(state):
+            u, v = state
+            p = pad(u, 1)
+            return np.stack([v, c["c"] ** 2 * ((p[2:] - 2 * u + p[:-2]) / (dx * dx))])
+    elif name == "kdv1d":
+        def rhs(u):
+            p = pad(u, 2)
+            ux = (p[3:-1] - p[1:-3]) / (2 * dx)
+            uxxx = (p[4:] - 2 * p[3:-1] + 2 * p[1:-3] - p[:-4]) / (2 * dx ** 3)
+            return -c["a"] * u * ux - c["b"] * uxxx
+    else:
+        def rhs(u):
+            p = pad(u, 1)
+            ux = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2 * dx)
+            uy = (p[1:-1, 2:] - p[1:-1, :-2]) / (2 * dx)
+            return -c["c"] * (ux + uy)
+    return rhs
+
+
+def _padded_march(problem, nx, dt, n_snapshots):
+    """The solver as it was before the in-place march: one new array per operation."""
+    dx = (problem.domain.upper[0] - problem.domain.lower[0]) / (nx - 1)
+    axes = [np.linspace(problem.domain.lower[i], problem.domain.upper[i], nx)
+            for i in range(problem.d)]
+    w = refsolve._trapz_weights(nx, dx)
+    if problem.d == 1:
+        X = axes[0][:, None]
+        u = problem.u0(X)
+
+        def integrals(u):
+            return float(w @ u), float(w @ (u * u))
+    else:
+        mesh = np.meshgrid(*axes, indexing="ij")
+        X = np.stack([m.reshape(-1) for m in mesh], axis=1)
+        u = problem.u0(X).reshape(nx, nx)
+
+        def integrals(u):
+            return float(w @ u @ w), float(w @ (u * u) @ w)
+
+    rhs = _padded_rhs(problem, dx)
+    is_system = problem.name == "wave1d"
+    flux = refsolve._boundary_flux_factory(problem, dx) if problem.d == 1 else None
+    state = np.stack([u, problem.v0(X)]) if is_system else u
+    T = problem.t_final
+    n_steps = int(np.ceil(T / dt))
+    snap_steps = set(np.unique(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int)))
+    ts, snaps, c1s, c2s, fluxes = [], [], [], [], []
+    flux_int = 0.0
+
+    def record(step, state):
+        uu = state[0] if is_system else state
+        ts.append(min(step * dt, T))
+        snaps.append(uu.copy())
+        a, b = integrals(uu)
+        c1s.append(a)
+        c2s.append(b)
+        fluxes.append(flux_int)
+
+    record(0, state)
+    for step in range(1, n_steps + 1):
+        h = dt if step * dt <= T else T - (step - 1) * dt
+        if flux is not None:
+            f_prev = flux(state[0] if is_system else state)
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > 1e6:
+            raise DivergenceError(f"{problem.name} reference blew up at step {step}")
+        if flux is not None:
+            f_new = flux(state[0] if is_system else state)
+            flux_int += 0.5 * h * (f_prev + f_new)
+        if step in snap_steps:
+            record(step, state)
+    return dict(ts=np.asarray(ts), snaps=np.asarray(snaps), c1=np.asarray(c1s),
+                c2=np.asarray(c2s), c1_flux=np.asarray(fluxes) if flux is not None else None)
+
+
+def _short_final_step_dt(problem, nx):
+    """A stable dt after whose last full step only half a step is left."""
+    n = math.ceil(problem.t_final / suggest_dt(problem, nx))
+    return problem.t_final / (n + 0.5)
+
+
+_FIVE = ("advection1d", "reaction_diffusion1d", "wave1d", "kdv1d", "advection2d")
+_DEFAULT_NX = {"advection1d": 1024, "reaction_diffusion1d": 512, "wave1d": 512,
+               "advection2d": 96}   # kdv1d at 256: about 10 s for the padded march alone
+_SMALL_NX = {"kdv1d": (3, 33, 65), "advection2d": (3, 33, 65)}
+
+
+def _assert_bitwise(ref, oracle):
+    for field, want in oracle.items():
+        got = getattr(ref, field)
+        if want is None:
+            assert got is None, field
+            continue
+        assert got.shape == want.shape, field
+        assert np.array_equal(got, want), field
+        assert np.array_equal(np.signbit(got), np.signbit(want)), field
+
+
+@pytest.mark.parametrize("name, nx", [(n, nx) for n in _FIVE
+                                      for nx in _SMALL_NX.get(n, (3, 33, 65, 127))])
+@pytest.mark.parametrize("short_final", [False, True])
+@pytest.mark.parametrize("n_snapshots", [21, 65])
+def test_in_place_march_bitwise_equals_padded_march(name, nx, short_final, n_snapshots):
+    prob = make_problem(name)
+    dt = _short_final_step_dt(prob, nx) if short_final else suggest_dt(prob, nx)
+    if short_final:
+        assert math.ceil(prob.t_final / dt) * dt > prob.t_final
+    ref = solve_reference(prob, nx=nx, dt=dt, n_snapshots=n_snapshots)
+    _assert_bitwise(ref, _padded_march(prob, nx, dt, n_snapshots))
+
+
+@pytest.mark.parametrize("name", sorted(_DEFAULT_NX))
+def test_in_place_march_bitwise_at_default_grid(name):
+    prob = make_problem(name)
+    nx = _DEFAULT_NX[name]
+    dt = suggest_dt(prob, nx)
+    _assert_bitwise(solve_reference(prob, nx=nx, dt=dt), _padded_march(prob, nx, dt, 65))
+
+
+def test_neumann_edge_derivative_keeps_its_negative_zero():
+    # the reflected stencil at the wall is (u1 - u1) / (2 dx) * (-c) = -0.0
+    prob = make_problem("advection1d")
+    rhs, _ = refsolve._rhs_factory(prob, 0.5, 5)
+    out = np.full(5, np.nan)
+    rhs(np.array([0.0, 1.0, 2.0, 3.0, 4.0]), out)
+    assert out[0] == 0.0 and np.signbit(out[0])
+    assert out[-1] == 0.0 and np.signbit(out[-1])
+
+
+@pytest.mark.parametrize("name", _FIVE)
+def test_rhs_writes_into_out_without_allocating(name):
+    prob = make_problem(name)
+    # a 2-D stencil on strided views takes numpy's fixed 64 KiB iterator
+    # buffer, so its grid is large enough for that to stay below the bound
+    nx = 2048 if prob.d == 1 else 512
+    shape = (2, nx) if name == "wave1d" else (nx,) * prob.d
+    rhs, is_system = refsolve._rhs_factory(prob, 2.0 / (nx - 1), nx)
+    assert is_system == (name == "wave1d")
+    state = np.random.default_rng(0).random(shape)
+    out = np.empty(shape)
+    rhs(state, out)
+    first = out.copy()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        for _ in range(5):
+            assert rhs(state, out) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < out.nbytes // 8  # no array-sized temporary
+    assert np.array_equal(out, first)
+
+
+def test_kdv_refuses_a_grid_too_small_for_its_stencil():
+    prob = make_problem("kdv1d")
+    with pytest.raises(ConfigError, match="at least 3 points"):
+        suggest_dt(prob, 2)
+    with pytest.raises(ConfigError, match="at least 3 points"):
+        solve_reference(prob, nx=2, dt=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", _FIVE)
+def test_nonfinite_initial_data_diverges_at_step_one(name, bad):
+    # the blow-up check is one NaN-aware reduction: a bare max(|u|) > 1e6
+    # would let a NaN through
+    prob = make_problem(name)
+
+    def u0(X):
+        u = np.ones(X.shape[0])
+        u[X.shape[0] // 2] = bad
+        return u
+
+    nx = 17
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match=r"at step 1$"):
+        solve_reference(dataclasses.replace(prob, u0=u0), nx=nx, dt=suggest_dt(prob, nx))
