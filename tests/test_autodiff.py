@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from cpl.autodiff import AdDomainError, Tape
+from cpl.autodiff import (AdDomainError, Tape, finite_diff_derivatives,
+                          finite_diff_gradient, jet_to_derivatives)
 from cpl.jets import Jet, UnsupportedJetOp, jet_tanh
+from cpl.net import ArrayNet, MLPParams, NetworkConfig, TapeNet, init_params
 
 
 def test_record_mul_value_and_partials():
@@ -57,9 +59,39 @@ def test_backward_requires_scalar_root():
         t.backward(y)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_backward_vs_finite_differences_random_net(seed):
+    cfg = NetworkConfig(in_dim=3, hidden_layers=2, width=6, seed=seed)
+    params = init_params(cfg)
+    X = np.random.default_rng(seed).random((5, 3)) * 2.0
+
+    tape = Tape()
+    tn = TapeNet(tape, params)
+    out = tn.forward(X)
+    g = tn.grad(tape.backward(tape.sum(out)))
+
+    def f(theta):
+        from cpl.net import forward_array
+        return float(forward_array(MLPParams(cfg, theta.copy()), X).sum())
+
+    g_fd = finite_diff_gradient(f, params.flat, rel_h=1e-5)
+    small = np.abs(g_fd) < 1e-6
+    assert np.all(np.abs(g - g_fd)[small] <= 1e-4)
+    big = ~small
+    assert np.max(np.abs(g - g_fd)[big] / np.abs(g_fd)[big]) <= 1e-6
+
+
 def test_jet_rejects_order_above_three():
     with pytest.raises(UnsupportedJetOp):
         Jet([0.0] * 5)
+
+
+def test_jet_tanh_vs_fd_richardson():
+    j = jet_tanh(Jet([np.float64(0.7), np.float64(1.0), None, None]))
+    ders = [float(d) for d in jet_to_derivatives(j)[1:]]
+    fd = finite_diff_derivatives(np.tanh, 0.7, 3, h=5e-3)
+    for a, b in zip(ders, fd):
+        assert abs(a - b) / max(1e-2, abs(b)) <= 1e-5
 
 
 def test_jet_of_constant_is_flat():
@@ -67,6 +99,41 @@ def test_jet_of_constant_is_flat():
     # stays structurally zero
     j = jet_tanh(Jet([np.float64(1.1), None, None, None]))
     assert all(c is None for c in j.coeffs[1:])
+
+
+def test_mixed_mode_jet_gradient_vs_fd():
+    cfg = NetworkConfig(in_dim=2, hidden_layers=2, width=5, seed=11)
+    params = init_params(cfg)
+    X = np.random.default_rng(1).random((4, 2)) * 2.0
+
+    tape = Tape()
+    tn = TapeNet(tape, params)
+    jet = tn.forward_jet(X, 0, 3)
+    g = tn.grad(tape.backward(tape.sum(jet.coeffs[3])))
+
+    def f(theta):
+        an = ArrayNet(MLPParams(cfg, theta.copy()))
+        return float(an.forward_jet(X, 0, 3).coeffs[3].sum())
+
+    g_fd = finite_diff_gradient(f, params.flat, rel_h=1e-5)
+    scale = np.maximum(np.abs(g_fd), 1e-4)
+    assert np.max(np.abs(g - g_fd) / scale) <= 1e-5
+
+
+def test_tape_count_deterministic_for_fixed_config():
+    cfg = NetworkConfig(in_dim=2, hidden_layers=2, width=4, seed=0)
+    params = init_params(cfg)
+    X = np.linspace(0.1, 1.9, 6).reshape(-1, 1)
+    from cpl.net import NetField
+    from cpl.pde import make_problem, residual_full
+    prob = make_problem("advection1d")
+    counts = []
+    for _ in range(3):
+        tape = Tape()
+        tn = TapeNet(tape, params)
+        residual_full(prob, NetField(tn, X, 0.2))
+        counts.append((len(tape), tape.num_slots))
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_tape_topological_order():
