@@ -7,14 +7,19 @@ are parameters or inputs; ``backward`` runs a single reverse sweep and
 returns one adjoint per node.
 
 Besides the elementwise primitives the tape has structured ops for the
-network layers (``affine`` and ``project``, each with an optional bias), for
-reductions (``mean``, ``sum``) and ``slope``: the 1 - y^2 of a ``tanh``
-node's output, as one node whose value is the partial the tanh node already
-stores.
+network: ``tanh_layer``, one whole hidden layer tanh(h @ W.T + b) as one node
+that holds its output and 1 - y^2, and no pre-activation; ``affine``, the
+bias-free h @ W.T of a jet coefficient; ``project``, the scalar head, with an
+optional bias.  Further there are reductions (``mean``, ``sum``) and
+``slope``: the 1 - y^2 of a tanh output, as one node whose value is the
+partial the tanh node already stores.  ``hold`` keeps a place on the tape for
+a node recorded later, so a value read late sits where reading it early would
+have put it, and the reverse sweep adds up its adjoints in the same order.
 
 Node count is the memory proxy used everywhere else: ``num_slots`` counts
 scalar float64 slots across all recorded values, so it grows linearly with
-both the structural size of the graph and the batch width.
+both the structural size of the graph and the batch width.  ``bytes_held``
+counts the bytes of the distinct arrays behind them, partials included.
 """
 
 from __future__ import annotations
@@ -118,13 +123,39 @@ class Tape:
     def __len__(self):
         return len(self.ops)
 
-    def _push(self, op, parents, partials, value):
-        self.ops.append(op)
-        self.parents.append(parents)
-        self.partials.append(partials)
-        self.values.append(value)
+    def _push(self, op, parents, partials, value, at=None):
+        """Append a node, or record it in the place ``at`` that ``hold`` kept."""
+        if at is None:
+            self.ops.append(op)
+            self.parents.append(parents)
+            self.partials.append(partials)
+            self.values.append(value)
+            idx = len(self.ops) - 1
+        else:
+            idx = at.idx
+            if self.ops[idx] != "held" or any(p is not None and p >= idx for p in parents):
+                raise ValueError("a held place takes one node whose parents precede it")
+            self.ops[idx], self.parents[idx] = op, parents
+            self.partials[idx], self.values[idx] = partials, value
         self.num_slots += value.size
-        return Var(self, len(self.ops) - 1)
+        return Var(self, idx)
+
+    def hold(self):
+        """Keep the next place on the tape for a node recorded later with
+        ``at=``; until then it holds no slot and no sweep reaches it."""
+        return self._push("held", (), None, np.empty(0))
+
+    def bytes_held(self):
+        """Bytes of the distinct arrays the tape holds, values and partials
+        alike; an array held twice counts once (a ``slope`` value is its tanh's
+        partial, a ``mul`` partial is the other operand's value)."""
+        arrays = {}
+        for value, partial in zip(self.values, self.partials):
+            arrays[id(value)] = value
+            for p in partial or ():
+                if isinstance(p, (np.ndarray, np.generic)):
+                    arrays[id(p)] = p
+        return sum(a.nbytes for a in arrays.values())
 
     def leaf(self, value):
         """Register an input/parameter leaf."""
@@ -179,20 +210,31 @@ class Tape:
 
     # -- structured ops ------------------------------------------------------
 
-    def affine(self, h, W, b=None):
-        """h @ W.T (+ b) for h (B, in), W (out, in), b (out,); the jet
-        coefficients of a layer take no bias."""
-        val = h.value @ W.value.T
-        if b is None:
-            return self._push("affine", (h.idx, W.idx), None, val)
-        return self._push("affine", (h.idx, W.idx, b.idx), None, val + b.value)
+    def affine(self, h, W):
+        """h @ W.T for h (B, in), W (out, in): a layer's jet coefficient,
+        which takes no bias."""
+        return self._push("affine", (h.idx, W.idx), None, h.value @ W.value.T)
 
-    def project(self, h, w, b0=None):
-        """Scalar head: h @ w (+ b0) for h (B, in), w (in,), scalar b0."""
+    def tanh_layer(self, h, W, b):
+        """y = tanh(h @ W.T + b) for h (B, in), W (out, in), b (out,), as one
+        node holding y and its partial 1 - y^2.
+
+        The pre-activation is formed in y's buffer and is not kept: the sweep
+        reads only the partial.  The bits are those of an ``affine`` node with
+        the bias followed by a ``tanh`` node.
+        """
+        y = h.value @ W.value.T
+        y += b.value
+        np.tanh(y, out=y)
+        return self._push("tanh_layer", (h.idx, W.idx, b.idx), (1.0 - y * y,), y)
+
+    def project(self, h, w, b0=None, at=None):
+        """Scalar head: h @ w (+ b0) for h (B, in), w (in,), scalar b0;
+        recorded in the place ``at`` when given."""
         val = h.value @ w.value
         if b0 is None:
-            return self._push("project", (h.idx, w.idx), None, val)
-        return self._push("project", (h.idx, w.idx, b0.idx), None, val + b0.value)
+            return self._push("project", (h.idx, w.idx), None, val, at)
+        return self._push("project", (h.idx, w.idx, b0.idx), None, val + b0.value, at)
 
     def mean(self, x):
         val = np.asarray(x.value.mean(), dtype=np.float64)
@@ -203,13 +245,14 @@ class Tape:
         return self._push("sum", (x.idx,), None, val)
 
     def tanh_slope(self, y):
-        """1 - y^2 for the output y of a ``tanh`` node, as one node.
+        """1 - y^2 for the output y of a ``tanh`` or ``tanh_layer`` node, as
+        one node.
 
         The value is the partial the tanh node already stores (the same bits
         as ``1.0 - y * y``), and the backward sends ``(a * -1.0) * y`` to y
         twice, as the ``mul`` + ``sub`` pair it replaces did.
         """
-        if self.ops[y.idx] != "tanh":
+        if self.ops[y.idx] not in ("tanh", "tanh_layer"):
             raise ValueError("tanh_slope needs the output of a tanh node")
         return self._push("slope", (y.idx,), None, self.partials[y.idx][0])
 
@@ -236,19 +279,22 @@ class Tape:
             if op == "leaf":
                 continue
             par = parents[i]
-            if op == "affine" or op == "project":
+            if op == "tanh_layer" or op == "affine":
+                if op == "tanh_layer":
+                    a = a * partials[i][0]  # through the tanh, then the affine map
                 h = values[par[0]]
                 W = values[par[1]]
-                if op == "affine":
-                    _acc(adj, par[0], a @ W)
-                    _acc(adj, par[1], a.T @ h)
-                    if len(par) == 3:
-                        _acc(adj, par[2], a.sum(axis=0))
-                else:
-                    _acc(adj, par[0], a[:, None] * W[None, :])
-                    _acc(adj, par[1], h.T @ a)
-                    if len(par) == 3:
-                        _acc(adj, par[2], np.asarray(a.sum()))
+                _acc(adj, par[0], a @ W)
+                _acc(adj, par[1], a.T @ h)
+                if len(par) == 3:
+                    _acc(adj, par[2], a.sum(axis=0))
+            elif op == "project":
+                h = values[par[0]]
+                w = values[par[1]]
+                _acc(adj, par[0], a[:, None] * w[None, :])
+                _acc(adj, par[1], h.T @ a)
+                if len(par) == 3:
+                    _acc(adj, par[2], np.asarray(a.sum()))
             elif op == "mean":
                 x = values[par[0]]
                 _acc(adj, par[0], np.full_like(x, float(a) / x.size))

@@ -95,11 +95,11 @@ def check_mixed_mode():
         tape = Tape()
         tn = TapeNet(tape, p)
         jet = tn.forward_jet(X, 0, order)
-        g = tn.grad(tape.backward(tape.sum(jet.coeffs[order])))
+        g = tn.grad(tape.backward(tape.sum(jet.coeff(order))))
 
         def f(theta):
             an = ArrayNet(MLPParams(cfg, theta.copy()))
-            return float(an.forward_jet(X, 0, order).coeffs[order].sum())
+            return float(an.forward_jet(X, 0, order).coeff(order).sum())
 
         g_fd = finite_diff_gradient(f, p.flat)
         scale = np.maximum(np.abs(g_fd), 1e-6)
@@ -222,7 +222,7 @@ def check_net_third_derivative():
     worst = 0.0
     for x in (0.1, 0.5, 0.9, 1.3, 1.7):
         jet = an.forward_jet(np.array([[x, 0.0]]), 0, 3)
-        d3 = float(jet.coeffs[3][0]) * 6.0
+        d3 = float(jet.coeff(3)[0]) * 6.0
         z = np.tanh(w * x + b0)
         tanh3 = -2.0 * (1 - z * z) * (1 - 3 * z * z)  # third derivative of tanh
         exact = v * w ** 3 * tanh3

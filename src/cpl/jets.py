@@ -56,20 +56,39 @@ def _over_k(acc, k):
 
 
 class Jet:
-    """Normalized Taylor coefficients of a scalar function along one direction."""
+    """Normalized Taylor coefficients of a scalar function along one direction.
 
-    __slots__ = ("coeffs",)
+    Coefficient 0 may instead come from ``value``, a function of no arguments
+    called on its first read (``coeffs[0]`` is then None): residual and
+    boundary terms read only derivative coefficients, so on a tape a jet's
+    coefficient 0 records nothing until something reads it.
+    """
 
-    def __init__(self, coeffs):
+    __slots__ = ("_coeffs", "_value")
+
+    def __init__(self, coeffs, value=None):
         if len(coeffs) > MAX_ORDER + 1:
             raise UnsupportedJetOp(f"jets support order <= {MAX_ORDER}")
-        self.coeffs = list(coeffs)
+        self._coeffs = list(coeffs)
+        self._value = value
+
+    def coeff(self, k):
+        """Coefficient k; coefficient 0 is formed on its first read."""
+        if k == 0 and self._value is not None:
+            self._coeffs[0], self._value = self._value(), None
+        return self._coeffs[k]
+
+    @property
+    def coeffs(self):
+        """All coefficients, orders 0..order."""
+        self.coeff(0)
+        return self._coeffs
 
     def scale_shift(self, scale, shift):
-        """Affine image of the jet: order-0 coefficient gains the shift."""
-        out = [None if c is None else c * scale for c in self.coeffs]
-        out[0] = _add(out[0], shift)
-        return Jet(out)
+        """Affine image of the jet: coefficient 0, formed on its first read,
+        gains the shift."""
+        out = [None] + [None if c is None else c * scale for c in self._coeffs[1:]]
+        return Jet(out, lambda: _add(_mul(self.coeff(0), scale), shift))
 
 
 def tanh_series(x, y0, w0):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .errors import ConfigError
-from .jets import Jet, _tanh, _tanh_slope, tanh_series
+from .jets import Jet, _tanh_slope, tanh_series
 from .sampler import SeededRng
 
 TIME = -1  # coordinate id for the time input
@@ -313,15 +313,23 @@ class ArrayNet(TapeNet):
 
 # Layer ops on a tape variable or a numpy array: one code path for both.
 
-def _affine(h, W, b=None):
+def _layer(h, W, b):
+    """tanh(h @ W.T + b): on a tape one node, on numpy formed in one buffer."""
     if isinstance(h, Var):
-        return h.tape.affine(h, W, b)
-    return h @ W.T if b is None else h @ W.T + b
+        return h.tape.tanh_layer(h, W, b)
+    z = h @ W.T
+    z += b
+    np.tanh(z, out=z)
+    return z
 
 
-def _head(h, w, b0=None):
+def _affine(h, W):
+    return h.tape.affine(h, W) if isinstance(h, Var) else h @ W.T
+
+
+def _head(h, w, b0=None, at=None):
     if isinstance(h, Var):
-        return h.tape.project(h, w, b0)
+        return h.tape.project(h, w, b0, at)
     return h @ w if b0 is None else h @ w + b0
 
 
@@ -329,9 +337,12 @@ class NetField:
     """A network restricted to a batch of spatial points at one time.
 
     Supplies the value and directional jets the residual operators consume.
-    The primal runs once, on the first request, and keeps each hidden layer's
+    The hidden layers run once, on the first request, and keep each layer's
     tanh output y (plus 1 - y^2 once a jet needs it); every jet adds only its
-    own coefficients of orders 1..order, and its coefficient 0 is the value.
+    own coefficients of orders 1..order.  The head runs on the first read of
+    the value, which is also every jet's coefficient 0; on a tape its node
+    goes in a place held right after the hidden layers, where an eager head
+    would have been recorded.
     """
 
     def __init__(self, net, X_spatial: np.ndarray, t: float):
@@ -340,23 +351,31 @@ class NetField:
         self.Xt = np.concatenate([X_spatial, np.full((B, 1), float(t))], axis=1)
         self._hidden = None  # per hidden layer: [tanh output, 1 - output^2 or None]
         self._value = None
+        self._at = None      # the tape place held for the head
 
     @classmethod
     def of_inputs(cls, net, Xt: np.ndarray):
         """The field over network inputs that already carry their time column."""
         fld = cls.__new__(cls)
-        fld.net, fld.Xt, fld._hidden, fld._value = net, Xt, None, None
+        fld.net, fld.Xt, fld._hidden, fld._value, fld._at = net, Xt, None, None, None
         return fld
 
-    def value(self):
-        if self._value is None:
+    def _primal(self):
+        if self._hidden is None:
             _check_inputs(self.Xt)
             h = self.net.leaf(self.Xt)
             self._hidden = []
             for W, b in self.net.hidden:
-                h = _tanh(_affine(h, W, b))
+                h = _layer(h, W, b)
                 self._hidden.append([h, None])
-            self._value = _head(h, self.net.head_w, self.net.head_b)
+            if isinstance(h, Var):
+                self._at = h.tape.hold()
+        return self._hidden
+
+    def value(self):
+        if self._value is None:
+            h = self._primal()[-1][0]
+            self._value = _head(h, self.net.head_w, self.net.head_b, self._at)
         return self._value
 
     def jet(self, coord, order) -> Jet:
@@ -367,19 +386,19 @@ class NetField:
         col = in_dim - 1 if coord == TIME else coord
         if col < 0 or col >= in_dim:
             raise ConfigError("jet coordinate outside the network input")
-        value = self.value()
+        hidden = self._primal()
         if order == 0:
-            return Jet([value])
+            return Jet([None], self.value)
         e = np.zeros((B, in_dim))
         e[:, col] = 1.0
         x = [None, self.net.leaf(e)] + [None] * (order - 1)
-        for layer, (W, _) in zip(self._hidden, self.net.hidden):
+        for layer, (W, _) in zip(hidden, self.net.hidden):
             if layer[1] is None:
                 layer[1] = _tanh_slope(layer[0])
             z = [None] + [None if c is None else _affine(c, W) for c in x[1:]]
             x = tanh_series(z, *layer)
-        return Jet([value] + [None if c is None else _head(c, self.net.head_w)
-                              for c in x[1:]])
+        return Jet([None] + [None if c is None else _head(c, self.net.head_w)
+                             for c in x[1:]], self.value)
 
 
 _MAGIC = b"CPLNET1\x00"

@@ -131,7 +131,7 @@ def term_value(term: LinearTerm, field):
         order = max(a.order for a in atoms)
         jet = field.jet(coord, order)
         for a in atoms:
-            c = jet.coeffs[a.order]
+            c = jet.coeff(a.order)
             if c is None:
                 continue
             contrib = scaled(a.coeff * _FACT[a.order], c)
@@ -143,7 +143,7 @@ def nonlinear_value(problem: PDEProblem, field):
     if problem.nonlinear == "none":
         return None
     if problem.nonlinear == "conv_self":
-        du = field.jet(0, 1).coeffs[1]
+        du = field.jet(0, 1).coeff(1)
         return scaled(problem.nonlinear_coeff, field.value() * du)
     if problem.nonlinear == "sin":
         v = field.value()
@@ -186,14 +186,14 @@ def ic_loss(problem: PDEProblem, field0, ic_points):
     loss = _mean_sq(diff)
     if problem.time_order == 2:
         v_target = problem.v0(ic_points) if problem.v0 is not None else 0.0
-        dt = field0.jet(TIME, 1).coeffs[1]
+        dt = field0.jet(TIME, 1).coeff(1)
         loss = loss + _mean_sq(dt - v_target)
     return loss
 
 
 def neumann_loss(field, coord):
     """Mean squared normal derivative over boundary points on faces normal to coord."""
-    du = field.jet(coord, 1).coeffs[1]
+    du = field.jet(coord, 1).coeff(1)
     return _mean_sq(du)
 
 

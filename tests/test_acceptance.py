@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from cpl import trainer
 from cpl.autodiff import Tape, finite_diff_gradient
 from cpl.baselines import proj_combined, proj_linear, proj_quadratic
 from cpl.net import MLPParams, NetworkConfig, TapeNet, forward_array, init_params
@@ -294,7 +295,18 @@ def test_criterion_07_solution_accuracy(desk_runs):
 # -- criterion 8: memory scaling ---------------------------------------------------
 
 
-def test_criterion_08_memory_scaling():
+class _KeptTape(Tape):
+    """A step tape that stays reachable after the step, for its byte count."""
+
+    last = None
+
+    def __init__(self):
+        super().__init__()
+        _KeptTape.last = self
+
+
+def test_criterion_08_memory_scaling(monkeypatch):
+    monkeypatch.setattr(trainer, "Tape", _KeptTape)
     t0 = time.perf_counter()
     prob = make_problem("fokker_planck_linear_nd", dim=16)
     assert prob.n_terms == 256
@@ -314,17 +326,20 @@ def test_criterion_08_memory_scaling():
             plan.I = np.arange(256)
             plan.J = np.arange(256)
         _, diag, _ = step_sdifp(params, prob, tc, plan, cloud.points, targets)
-        return diag.tape_nodes
+        assert diag.tape_nodes == _KeptTape.last.num_slots
+        return diag.tape_nodes, _KeptTape.last.bytes_held()
 
-    small = slots(4, 10_000)
-    full = slots(256, 10_000)
+    small, small_bytes = slots(4, 10_000)
+    full, full_bytes = slots(256, 10_000)
     ratio = small / full
+    bytes_ratio = small_bytes / full_bytes
     m_counts = [slots(4, m) for m in (1000, 10_000, 100_000)]
     invariant_to_m = len(set(m_counts)) == 1
     elapsed = time.perf_counter() - t0
-    ok = ratio <= 0.05 and invariant_to_m and elapsed < 300.0
+    ok = ratio <= 0.05 and bytes_ratio <= 0.05 and invariant_to_m and elapsed < 300.0
     assert _report(8, ok, f"tape slots |I|=4 vs |I|=256 ratio {ratio:.3f} "
-                          f"(<= 0.05); counts across M {m_counts} "
+                          f"(<= 0.05), bytes held ratio {bytes_ratio:.3f} (<= 0.05); "
+                          f"slots and bytes across M {m_counts} "
                           f"(invariant: {invariant_to_m}), {elapsed:.1f}s (< 5min)")
 
 

@@ -59,6 +59,30 @@ def test_backward_requires_scalar_root():
         t.backward(y)
 
 
+def test_held_place_takes_one_node_whose_parents_precede_it():
+    t = Tape()
+    h = t.leaf(np.ones((2, 3)))
+    w = t.leaf(np.ones(3))
+    at = t.hold()
+    later = t.leaf(np.ones(3))
+    assert t.num_slots == 12 and t.bytes_held() == 96
+    with pytest.raises(ValueError):
+        t.project(h, later, at=at)
+    u = t.project(h, w, at=at)
+    assert u.idx == at.idx and t.ops[u.idx] == "project" and t.num_slots == 14
+    with pytest.raises(ValueError):
+        t.project(h, w, at=at)
+
+
+def test_bytes_held_counts_each_array_once():
+    t = Tape()
+    x = t.leaf(np.ones(4))
+    y = x.tanh()              # its value and its partial
+    s = t.tanh_slope(y)       # its value is y's partial
+    y * s                     # its partials are the values of s and y
+    assert t.bytes_held() == 4 * x.value.nbytes
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_backward_vs_finite_differences_random_net(seed):
     cfg = NetworkConfig(in_dim=3, hidden_layers=2, width=6, seed=seed)

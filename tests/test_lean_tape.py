@@ -1,10 +1,16 @@
-"""The jet tape records one node per tanh slope and none for x1 scalings, and
-no step tape records a multiplication by 1.0.
+"""The jet tape records one node per tanh slope and none for x1 scalings, no
+step tape records a multiplication by 1.0, each hidden primal layer is one
+node that keeps no pre-activation, and a value nothing reads is not recorded.
 
-The construction these replaced stays here as the reference: ``1.0 - y * y``
-as a ``mul`` + ``sub`` pair for every tanh slope a jet reads, and
-``acc * (1.0 / k)`` at every order k of the jet recurrences, k = 1 included.
-Swapping it back in must give the same bits: jet coefficients, step losses
+The constructions these replaced stay here as references:
+- ``old_construction``: ``1.0 - y * y`` as a ``mul`` + ``sub`` pair for every
+  tanh slope a jet reads, and ``acc * (1.0 / k)`` at every order k of the jet
+  recurrences, k = 1 included;
+- ``two_node_layers``: each hidden primal layer as an ``affine`` node with the
+  bias, holding the pre-activation, then a ``tanh`` node;
+- ``eager_values``: every jet's coefficient 0 and every field's head recorded
+  with the jet, whether read or not.
+Swapping one back in must give the same bits: jet coefficients, step losses
 and step gradients alike.
 """
 
@@ -40,6 +46,73 @@ def old_construction():
         mp.setattr(jets, "_tanh_slope", _old_slope)
         mp.setattr(net, "_tanh_slope", _old_slope)
         yield
+
+
+def _two_node_layer(h, W, b):
+    if not isinstance(h, Var):
+        return np.tanh(h @ W.T + b)
+    # the affine node with a bias: its value is the pre-activation, which its
+    # backward never reads
+    z = h.tape._push("affine", (h.idx, W.idx, b.idx), None, h.value @ W.value.T + b.value)
+    return z.tanh()
+
+
+@contextlib.contextmanager
+def two_node_layers():
+    """Record each hidden primal layer as an affine node, then a tanh node."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(net, "_layer", _two_node_layer)
+        yield
+
+
+def _eager_scale_shift(self, scale, shift):
+    out = [None if c is None else c * scale for c in self.coeffs]
+    out[0] = jets._add(out[0], shift)
+    return Jet(out)
+
+
+_lazy_jet = NetField.jet
+
+
+def _eager_jet(self, coord, order):
+    self.value()
+    return _lazy_jet(self, coord, order)
+
+
+@contextlib.contextmanager
+def eager_values():
+    """Record a field's head on its first jet and a projected jet's
+    coefficient 0 with the jet."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Jet, "scale_shift", _eager_scale_shift)
+        mp.setattr(NetField, "jet", _eager_jet)
+        yield
+
+
+def _preactivations(tape):
+    """Indices of affine nodes whose only reader is a tanh node."""
+    readers = {}
+    for i, par in enumerate(tape.parents):
+        for p in par:
+            if p is not None:
+                readers.setdefault(p, []).append(i)
+    return [i for i, op in enumerate(tape.ops)
+            if op == "affine" and [tape.ops[r] for r in readers.get(i, ())] == ["tanh"]]
+
+
+def _is_subsequence(tape, ref):
+    """Whether ref holds every recorded node of tape, with the same op and
+    value bits, in the same order."""
+    j = 0
+    for op, value in zip(tape.ops, tape.values):
+        if op == "held":
+            continue
+        while j < len(ref) and (ref.ops[j], ref.values[j].tobytes()) != (op, value.tobytes()):
+            j += 1
+        if j == len(ref):
+            return False
+        j += 1
+    return True
 
 
 def _bits(c):
@@ -111,7 +184,7 @@ def test_one_slope_node_per_hidden_layer_whatever_the_jets():
             fld.jet(coord, order)
             slopes = [i for i, op in enumerate(tape.ops) if op == "slope"]
             assert len(slopes) == 3
-            assert all(tape.ops[tape.parents[i][0]] == "tanh" for i in slopes)
+            assert all(tape.ops[tape.parents[i][0]] == "tanh_layer" for i in slopes)
     assert _mul_by_one(tape) == []
 
 
@@ -175,43 +248,97 @@ def test_step_bitwise_equal_old_construction(case, monkeypatch):
     # every network jet coefficient is a (B, width) node: the reference really
     # is the old jet construction
     assert _mul_by_one(ref_tape, ndim=2) != []
+    assert _preactivations(tape) == []
+
+
+@pytest.mark.parametrize("case", STEP_CASES, ids=lambda c: f"{c['problem']}-{c['method']}-"
+                         f"{c.get('estimator', 'full')}")
+def test_step_bitwise_equal_eager_values(case, monkeypatch):
+    cfg = TrainConfig(batch_n=8, cloud_m=128, n_time_slices=2, n_ic=8, n_bc=8,
+                      width=6, hidden_layers=2, seed=3, **case).validate()
+    grad, diag, tape = _step(cfg, monkeypatch)
+    with eager_values():
+        ref_grad, ref_diag, ref_tape = _step(cfg, monkeypatch)
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert np.float64(diag.loss).tobytes() == np.float64(ref_diag.loss).tobytes()
+    # every boundary field's value goes unread
+    assert diag.tape_nodes < ref_diag.tape_nodes
+    # nothing recorded that the eager tape lacks, and a head read late sits
+    # in its held place
+    assert _is_subsequence(tape, ref_tape)
 
 
 def test_criterion_10_config_tape_nodes_pinned(monkeypatch):
     """The step tape of `cpl train` at the configuration of acceptance criterion 10."""
     cfg = TrainConfig(problem="advection1d", method="sdifp", batch_n=25, cloud_m=2000,
                       n_time_slices=2, width=16, hidden_layers=2, seed=11).validate()
-    assert _step(cfg, monkeypatch)[1].tape_nodes == 21_908
-    with old_construction():
-        assert _step(cfg, monkeypatch)[1].tape_nodes == 28_404
+    assert _step(cfg, monkeypatch)[1].tape_nodes == 16_720
+    with two_node_layers(), eager_values():
+        assert _step(cfg, monkeypatch)[1].tape_nodes == 21_908
+        with old_construction():
+            assert _step(cfg, monkeypatch)[1].tape_nodes == 28_404
 
 
-# each method's step tape at one small configuration; a count moves only when a
-# step records one node more or one fewer
+# each method's step tape at one small configuration, and the same step with
+# two-node layers and eager values; a count moves only when a step records
+# one node more or one fewer
 TAPE_PINS = [
-    pytest.param(dict(method="vanilla"), 1_605, id="vanilla"),
-    pytest.param(dict(method="soft"), 1_634, id="soft"),
-    pytest.param(dict(method="discrete_proj", proj_mode="grid", proj_support=16), 3_103,
+    pytest.param(dict(method="vanilla"), 1_301, 1_605, id="vanilla"),
+    pytest.param(dict(method="soft"), 1_338, 1_634, id="soft"),
+    pytest.param(dict(method="discrete_proj", proj_mode="grid", proj_support=16), 2_175, 3_103,
                  id="discrete-grid"),
-    pytest.param(dict(method="discrete_proj", proj_support=16), 3_103, id="discrete-cloud"),
-    pytest.param(dict(method="discrete_proj", proj_support=16, proj_backprop=False), 1_693,
-                 id="discrete-no-backprop"),
-    pytest.param(dict(method="sdifp"), 1_732, id="sdifp-full"),
-    pytest.param(dict(method="sdifp", estimator="ds_uge", size_i=1, size_j=1), 1_492,
+    pytest.param(dict(method="discrete_proj", proj_support=16), 2_175, 3_103,
+                 id="discrete-cloud"),
+    pytest.param(dict(method="discrete_proj", proj_support=16, proj_backprop=False), 1_341,
+                 1_693, id="discrete-no-backprop"),
+    pytest.param(dict(method="sdifp"), 1_388, 1_732, id="sdifp-full"),
+    pytest.param(dict(method="sdifp", estimator="ds_uge", size_i=1, size_j=1), 1_164, 1_492,
                  id="sdifp-ds_uge"),
-    pytest.param(dict(method="sdifp", estimator="soo", size_i=1), 1_492, id="sdifp-soo"),
+    pytest.param(dict(method="sdifp", estimator="soo", size_i=1), 1_164, 1_492, id="sdifp-soo"),
 ]
 
 
-@pytest.mark.parametrize("case,slots", TAPE_PINS)
-def test_step_tape_nodes_pinned(case, slots, monkeypatch):
-    cfg = TrainConfig(problem="advection1d", batch_n=8, cloud_m=128, n_time_slices=2, n_ic=8,
-                      n_bc=8, width=6, hidden_layers=2, seed=1, **case).validate()
+def _pin_config(case):
+    return TrainConfig(problem="advection1d", batch_n=8, cloud_m=128, n_time_slices=2, n_ic=8,
+                       n_bc=8, width=6, hidden_layers=2, seed=1, **case).validate()
+
+
+@pytest.mark.parametrize("case,slots,ref_slots", TAPE_PINS)
+def test_step_tape_nodes_pinned(case, slots, ref_slots, monkeypatch):
+    cfg = _pin_config(case)
     _, diag, tape = _step(cfg, monkeypatch)
     assert diag.tape_nodes == tape.num_slots == slots
     assert _mul_by_one(tape) == []
     # only ds_uge evaluates a detached forward factor, on each of the two slices
     assert diag.value_evals == (2 if case.get("estimator") == "ds_uge" else 0)
+    with two_node_layers(), eager_values():
+        assert _step(cfg, monkeypatch)[1].tape_nodes == ref_slots
+
+
+@pytest.mark.parametrize("case,slots,ref_slots", TAPE_PINS)
+def test_one_node_layers_bitwise_equal_two_node_layers(case, slots, ref_slots, monkeypatch):
+    cfg = _pin_config(case)
+    grad, diag, tape = _step(cfg, monkeypatch)
+    with two_node_layers():
+        ref_grad, ref_diag, ref_tape = _step(cfg, monkeypatch)
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert np.float64(diag.loss).tobytes() == np.float64(ref_diag.loss).tobytes()
+    pre = _preactivations(ref_tape)
+    assert pre and _preactivations(tape) == []
+    # node for node the same tape without the pre-activations: every primal
+    # value, jet coefficient and loss term has the same bits
+    kept = [i for i in range(len(ref_tape)) if i not in set(pre)]
+    assert len(kept) == len(tape)
+    for i, r in enumerate(kept):
+        op = ref_tape.ops[r]
+        if op == "tanh" and ref_tape.parents[r][0] in pre:
+            op = "tanh_layer"
+            assert tape.partials[i][0].tobytes() == ref_tape.partials[r][0].tobytes()
+        assert tape.ops[i] == op
+        assert tape.values[i].tobytes() == ref_tape.values[r].tobytes()
+    assert ref_tape.num_slots - tape.num_slots == sum(ref_tape.values[i].size for i in pre) > 0
+    assert ref_tape.bytes_held() - tape.bytes_held() == sum(ref_tape.values[i].nbytes
+                                                            for i in pre)
 
 
 # -- property tests at edge values ---------------------------------------------

@@ -135,7 +135,7 @@ def _per_jet_primal_jet(net, X, coord, order, tape):
     for W, b in net.hidden:
         z = [None] * (order + 1)
         if tape is not None:
-            z[0] = tape.affine(coeffs[0], W, b)
+            z[0] = tape.affine(coeffs[0], W) + b
             for k in range(1, order + 1):
                 if coeffs[k] is not None:
                     z[k] = tape.affine(coeffs[k], W)
@@ -177,7 +177,9 @@ def test_netfield_records_each_hidden_primal_once():
     for coord in (0, TIME):
         for order in (1, 2, 3):
             assert fld.jet(coord, order).coeffs[0] is u
-    assert sum(op == "tanh" for op in tape.ops) == 3
+    layers = [i for i, op in enumerate(tape.ops) if op == "tanh_layer"]
+    assert len(layers) == 3
+    assert "tanh" not in tape.ops
 
 
 def test_value_only_pass_has_no_dead_tape_nodes():
