@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A short end-to-end training run on 1d advection.
 
-Uses a reduced budget so it finishes in about a minute; scale epochs up for
+Uses a reduced budget so it finishes in seconds; scale epochs up for
 the accuracy reported by the full experiments.  Prints the metric trajectory
 and the frozen (alpha, beta) ends of the projection table.
 """

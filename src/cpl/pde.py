@@ -16,7 +16,6 @@ from dataclasses import dataclass, field as dfield
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError
 from .net import TIME
@@ -226,13 +225,16 @@ def boundary_groups(domain: Domain, n, rng: SeededRng):
 # -- problem registry -----------------------------------------------------------
 
 def _gauss_1d_integrals(width, lo=0.0, hi=2.0, center=1.0):
-    """Exact integrals of exp(-((x-c)/w)^2) and its square over [lo, hi]."""
+    """Exact integrals of exp(-((x-c)/w)^2) and its square over [lo, hi].
+
+    math.erf, not scipy's, so that a training process never imports scipy.
+    """
     a = (hi - center) / width
     b = (center - lo) / width
-    i1 = width * math.sqrt(math.pi) / 2.0 * (erf(a) + erf(b))
+    i1 = width * math.sqrt(math.pi) / 2.0 * (math.erf(a) + math.erf(b))
     s2 = math.sqrt(2.0)
-    i2 = width * math.sqrt(math.pi / 2.0) / 2.0 * (erf(s2 * a) + erf(s2 * b))
-    return float(i1), float(i2)
+    i2 = width * math.sqrt(math.pi / 2.0) / 2.0 * (math.erf(s2 * a) + math.erf(s2 * b))
+    return i1, i2
 
 
 def _product_gaussian(widths):

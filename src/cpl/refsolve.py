@@ -289,7 +289,8 @@ def solve_reference(problem: PDEProblem, nx, dt, n_snapshots=65,
 
     T = problem.t_final
     n_steps = int(np.ceil(T / dt))
-    snap_steps = set(np.unique(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int)))
+    # a set of ints, not np.unique, which imports numpy.ma
+    snap_steps = set(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int).tolist())
 
     ts, snaps, c1s, c2s, fluxes = [], [], [], [], []
     flux_int = 0.0

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
+from numpy.random import Generator, Philox  # at import, not in a timed first draw
 
 from .errors import ConfigError
 
@@ -54,7 +55,7 @@ class SeededRng:
     def __init__(self, seed, stream=0):
         self.seed = int(seed)
         self.stream = int(stream)
-        self.gen = np.random.Generator(np.random.Philox(key=np.array(
+        self.gen = Generator(Philox(key=np.array(
             [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
             dtype=np.uint64)))
 

@@ -475,7 +475,8 @@ def evaluate(params, problem, cfg, targets, smc_points, rngs, reference=None,
 
     error_u = float("nan")
     if reference is not None:
-        times_idx = np.unique(np.linspace(0, len(reference.ts) - 1, 9).astype(int))
+        # ascending like np.unique, which would import numpy.ma
+        times_idx = sorted(set(np.linspace(0, len(reference.ts) - 1, 9).astype(int).tolist()))
         G = reference.grid_points
         num = 0.0
         den = 0.0

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -277,3 +283,31 @@ def test_verify_reports_at_least_25_checks():
     names = [fn.__name__ for fn in checks.ALL_CHECKS]
     assert len(names) >= 25
     assert len(set(names)) == len(names)
+
+
+# a fresh interpreter, so modules that other tests imported do not count
+_IMPORTS_AFTER_TRAIN = """
+import json, sys
+from cpl.cli import main
+code = main(sys.argv[1:])
+heavy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+               or m == "numpy.ma" or m.startswith("numpy.ma."))
+print(json.dumps({"code": code, "heavy": heavy}))
+"""
+
+
+@pytest.mark.parametrize("method", ["sdifp", "discrete_proj"])
+def test_train_imports_neither_scipy_nor_numpy_ma(tmp_path, method):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = ["train", "--out", str(tmp_path), "--problem", "advection1d", "--method", method,
+            "--epochs", "3", "--width", "8", "--hidden-layers", "2", "--batch-n", "12",
+            "--cloud-m", "256", "--proj-support", "64", "--n-time-slices", "2",
+            "--n-ic", "8", "--n-bc", "8", "--eval-every", "2", "--eval-cloud", "256",
+            "--ref-nx", "128", "--seed", "7"]
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS_AFTER_TRAIN, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"code": 0, "heavy": []}

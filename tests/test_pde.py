@@ -6,7 +6,7 @@ import pytest
 
 from cpl.errors import ConfigError
 from cpl.net import TIME, ArrayNet, NetField, NetworkConfig, init_params
-from cpl.pde import (AnalyticField, DerivAtom, boundary_groups, ic_loss,
+from cpl.pde import (AnalyticField, DerivAtom, _gauss_1d_integrals, boundary_groups, ic_loss,
                      make_problem, neumann_loss, residual_full, residual_sampled)
 from cpl.sampler import SeededRng
 
@@ -150,6 +150,52 @@ class TestTargets:
         k = prob.constants["k"]
         T = prob.t_final
         assert prob.c1_exact(T) / prob.c1_exact(0.0) == pytest.approx(math.exp(k * T), rel=1e-12)
+
+    @staticmethod
+    def _erf_args(width):
+        """The erf arguments of the Gaussian integrals over [0, 2] centred at 1."""
+        a = (2.0 - 1.0) / width
+        b = (1.0 - 0.0) / width
+        return a, b, math.sqrt(2.0) * a, math.sqrt(2.0) * b
+
+    @staticmethod
+    def _scipy_integrals(width):
+        """The same integrals with scipy.special.erf in place of math.erf."""
+        from scipy.special import erf
+        a, b, a2, b2 = TestTargets._erf_args(width)
+        i1 = width * math.sqrt(math.pi) / 2.0 * (erf(a) + erf(b))
+        i2 = width * math.sqrt(math.pi / 2.0) / 2.0 * (erf(a2) + erf(b2))
+        return float(i1), float(i2)
+
+    @pytest.mark.parametrize("name, width", [("advection1d", 0.25),
+                                             ("reaction_diffusion1d", 0.5)])
+    def test_gaussian_targets_bitwise_those_of_scipy_erf(self, name, width):
+        assert _gauss_1d_integrals(width) == self._scipy_integrals(width)
+        prob = make_problem(name)
+        assert prob.constants["ic_width"] == width
+        assert prob.c1_exact(0.0) == self._scipy_integrals(width)[0]
+
+    def test_unit_width_integrals_within_one_erf_ulp_of_scipy(self):
+        from scipy.special import erf
+        for x in self._erf_args(1.0):
+            assert abs(math.erf(x) - float(erf(x))) <= math.ulp(math.erf(x))
+        a, b, a2, b2 = self._erf_args(1.0)
+        coef1 = math.sqrt(math.pi) / 2.0
+        coef2 = math.sqrt(math.pi / 2.0) / 2.0
+        new = _gauss_1d_integrals(1.0)
+        old = self._scipy_integrals(1.0)
+        # one ulp in each erf term, and one rounding of the result
+        tol1 = coef1 * (math.ulp(math.erf(a)) + math.ulp(math.erf(b))) + math.ulp(old[0])
+        tol2 = coef2 * (math.ulp(math.erf(a2)) + math.ulp(math.erf(b2))) + math.ulp(old[1])
+        assert abs(new[0] - old[0]) <= tol1
+        assert abs(new[1] - old[1]) <= tol2
+
+    def test_math_erf_correctly_rounded_at_the_target_arguments(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(200):
+            for width in (0.25, 0.5, 1.0):
+                for x in self._erf_args(width):
+                    assert math.erf(x) == float(mpmath.erf(mpmath.mpf(x)))
 
     def test_kdv_targets_from_table(self, kdv_table):
         prob = make_problem("kdv1d")
