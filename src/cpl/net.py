@@ -16,6 +16,7 @@ import hashlib
 import os
 import struct
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -173,6 +174,8 @@ def _helper_pool():
 def _forward_block(layers, X, bufs, out, lo, hi):
     """Rows lo:hi of X through the network into out[lo:hi].
 
+    `layers` holds (W, tile) per hidden layer, the tile being its bias
+    repeated over a number of rows, and (W, b) for the head.
     Activations go to the first hi-lo rows of bufs[0] and bufs[1].
     Each row's value depends only on the BLAS calls it is part of.  With a
     single-threaded BLAS, a block that starts at a multiple of 4 from its
@@ -180,10 +183,15 @@ def _forward_block(layers, X, bufs, out, lo, hi):
     kernels' row blocking as one call over the whole chunk.
     """
     h = X[lo:hi]
-    for i, (W, b) in enumerate(layers[:-1]):
+    for i, (W, tile) in enumerate(layers[:-1]):
         z = bufs[i % 2][:hi - lo]
         np.matmul(h, W.T, out=z)
-        z += b
+        # the bias in whole tiles and one part tile, all contiguous: a
+        # broadcast add of the bias row takes numpy's 64 KiB ufunc buffer
+        whole = (hi - lo) // len(tile) * len(tile)
+        tiles = z[:whole].reshape(-1, *tile.shape)
+        tiles += tile
+        z[whole:] += tile[:hi - lo - whole]
         np.tanh(z, out=z)
         h = z
     W_head, b_head = layers[-1]
@@ -191,10 +199,21 @@ def _forward_block(layers, X, bufs, out, lo, hi):
     out[lo:hi] += b_head[0]
 
 
-def _forward_rows(layers, X, bufs, out, blocks):
-    """One thread's blocks, in order, through its own two buffers."""
-    for lo, hi in blocks:
-        _forward_block(layers, X, bufs, out, lo, hi)
+def _run_blocks(layers, X, bufs, out, queue):
+    """Blocks from the shared queue, one at a time, through this thread's buffers.
+
+    On a fault the queue is emptied, so no thread starts another block.
+    """
+    while True:
+        try:
+            lo, hi = queue.popleft()
+        except IndexError:
+            return
+        try:
+            _forward_block(layers, X, bufs, out, lo, hi)
+        except BaseException:
+            queue.clear()
+            raise
 
 
 def _cut(lo, hi, block):
@@ -208,18 +227,19 @@ def _cut(lo, hi, block):
 
 
 def _block_plan(n, block, split):
-    """Per chunk of n rows, the blocks the caller runs and those the helper runs.
+    """The blocks of n rows: each chunk, or with `split` each half of it, cut
+    into blocks of `block` rows.
 
     With `split`, a chunk of at least _SPLIT_MIN rows is split near its middle
-    at a multiple of 4 and the helper runs the second half; otherwise the
-    caller runs the whole chunk and the helper nothing.
+    at a multiple of 4.  The chunks, the split points and the cuts fix which
+    rows share a BLAS call, and so the bits, whichever thread runs a block.
     """
-    plan = []
+    blocks = []
     for s in range(0, n, _FORWARD_CHUNK):
         e = min(s + _FORWARD_CHUNK, n)
         mid = s + (e - s) // 8 * 4 if split and e - s >= _SPLIT_MIN else e
-        plan.append((_cut(s, mid, block), _cut(mid, e, block)))
-    return plan
+        blocks += _cut(s, mid, block) + _cut(mid, e, block)
+    return blocks
 
 
 def forward_array(params: MLPParams, X: np.ndarray) -> np.ndarray:
@@ -227,37 +247,49 @@ def forward_array(params: MLPParams, X: np.ndarray) -> np.ndarray:
 
     This is the detached-quadrature hot path.  The rows are cut into chunks of
     _FORWARD_CHUNK.  With a single-threaded BLAS each chunk of at least
-    _SPLIT_MIN rows is split near its middle at a multiple of 4; a helper
-    thread runs the second half while the caller runs the first.  Each half,
-    or unsplit chunk, goes through the network in blocks of _BLOCK_BYTES of
+    _SPLIT_MIN rows is split near its middle at a multiple of 4, and each
+    half, or unsplit chunk, is cut into blocks of _BLOCK_BYTES of
     activations, a multiple of 16 rows and at least _BLOCK_MIN, so a layer's
-    input and output stay in the L2 cache.  The caller allocates every
-    activation buffer, two per thread of at most twice the block rows, so the
-    working memory does not grow with the chunk or with X.  A multi-threaded
-    BLAS cuts each call among its threads at rows that depend on the call's
-    size, so there each chunk stays one call, in two buffers of its rows.
-    The output is bitwise the same as a serial pass over the same chunks.
+    input and output stay in the L2 cache.  The halves fix the block
+    boundaries, not who runs a block: the caller and one helper thread take
+    the blocks of the whole call, largest first, from one shared queue, so
+    they join once per call.  A call under _SPLIT_MIN rows runs on the
+    caller alone.  The caller allocates every activation buffer, two per
+    thread of the longest block, and the bias tiles, so the working memory
+    does not grow with X.  A multi-threaded BLAS cuts each call among its
+    threads at rows that depend on the call's size, so there each chunk stays
+    one call on the caller, in two buffers of its rows.  The output is
+    bitwise the same as a serial pass over the same chunks.
     """
     _check_inputs(X)
-    layers = params.layers()
-    width = layers[0][0].shape[0]
+    n = X.shape[0]
+    *hidden, head = params.layers()
+    width = head[0].shape[1]
     split = blas_threads() == 1
     block = max(_BLOCK_MIN, _BLOCK_BYTES // (8 * width) // 16 * 16) if split else _FORWARD_CHUNK
-    plan = _block_plan(X.shape[0], block, split)
-    rows = max((hi - lo for part in plan for blocks in part for lo, hi in blocks), default=0)
+    blocks = _block_plan(n, block, split)
+    helped = split and n >= _SPLIT_MIN
     # all from this thread's heap: a buffer the helper allocated would come
     # from a second glibc arena and hold pages of its own
-    bufs = np.empty((4 if split else 2, rows, width))
-    out = np.empty(X.shape[0])
-    for mine, theirs in plan:
-        if not theirs:
-            _forward_rows(layers, X, bufs, out, mine)
-            continue
-        fut = _helper_pool().submit(_forward_rows, layers, X, bufs[2:], out, theirs)
-        try:
-            _forward_rows(layers, X, bufs, out, mine)
-        finally:
-            wait((fut,))  # never leave the helper running past this call
+    bufs = np.empty((4 if helped else 2, max((hi - lo for lo, hi in blocks), default=0), width))
+    # each bias repeated over 8192 elements or more, numpy's ufunc buffer
+    # size: an add over whole tiles then runs in contiguous loops without one
+    tile_rows = -(-8192 // width)
+    layers = [(W, np.tile(b, (tile_rows, 1))) for W, b in hidden] + [head]
+    out = np.empty(n)
+    queue = deque(sorted(blocks, key=lambda c: c[0] - c[1]))
+    if not helped:
+        _run_blocks(layers, X, bufs, out, queue)
+        return out
+    fut = _helper_pool().submit(_run_blocks, layers, X, bufs[2:], out, queue)
+    try:
+        _run_blocks(layers, X, bufs, out, queue)
+    finally:
+        # a helper task that has not started never will; one that has is
+        # waited for, so it never runs past this call
+        if not fut.cancel():
+            wait((fut,))
+    if not fut.cancelled():
         fut.result()
     return out
 

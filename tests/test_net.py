@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -274,6 +275,16 @@ def _serial_forward(params, X):
     return out
 
 
+def _random_params(in_dim, width, seed):
+    """Glorot weights and random biases: init_params sets every bias to 0,
+    which would hide a wrong bias add."""
+    p = init_params(NetworkConfig(in_dim=in_dim, width=width, seed=seed))
+    rng = np.random.default_rng(seed)
+    for _, b in p.layers():
+        b[...] = rng.uniform(-0.5, 0.5, b.shape)
+    return p
+
+
 @pytest.fixture
 def blas_threads(monkeypatch):
     """Set the linked BLAS to n threads, or report n where it cannot be read."""
@@ -306,28 +317,27 @@ def row_calls(monkeypatch):
 
 
 def _assert_block_layout(calls, n, block):
-    """The blocks tile 0:n; none crosses a chunk or a split point, each starts
-    at a multiple of 4, and one shorter than `block` is a whole half or chunk."""
+    """Each block runs once and the blocks tile 0:n; none crosses a chunk or a
+    split point, each starts at a multiple of 4, and one shorter than `block`
+    is a whole half or chunk.  Either thread may run any block, but a call
+    under 1024 rows runs on the caller alone."""
+    assert len(set(calls)) == len(calls)
     calls = sorted(calls)
     assert [lo for lo, _, _ in calls] == [0] + [hi for _, hi, _ in calls[:-1]]
     assert sum(hi - lo for lo, hi, _ in calls) == n
+    if n < 1024:
+        assert not any(on_helper for _, _, on_helper in calls)
     for s in range(0, n, 8192):
         e = min(s + 8192, n)
         inside = [c for c in calls if s <= c[0] < e]
         assert inside[-1][1] == e
-        helper = [lo for lo, _, on_helper in inside if on_helper]
-        # a chunk of at least 1024 rows has its second half on the helper; a
-        # smaller one runs entirely on the caller
-        if e - s >= 1024:
-            mid = s + (e - s) // 8 * 4
-            assert helper and helper[0] == mid
-        else:
-            mid = e
-            assert not helper
+        # a chunk of at least 1024 rows is split at a multiple of 4 near its
+        # middle; a smaller one is cut as a whole
+        mid = s + (e - s) // 8 * 4 if e - s >= 1024 else e
+        assert mid == e or mid in [lo for lo, _, _ in inside]
         halves = ((s, mid), (mid, e))
-        for lo, hi, on_helper in inside:
+        for lo, hi, _ in inside:
             assert lo % 4 == 0 and hi - lo < 2 * block
-            assert (lo >= mid) == on_helper
             assert hi - lo >= block or (lo, hi) in halves
 
 
@@ -339,13 +349,74 @@ FORWARD_SIZES = (1, 63, 64, 1023, 1024, 8191, 8192, 8193, 8194, 8210, 8192 + 409
 @pytest.mark.parametrize("in_dim", [2, 17])
 def test_forward_array_split_bitwise_equals_serial(blas_threads, row_calls, width, in_dim):
     blas_threads(1)
-    p = init_params(NetworkConfig(in_dim=in_dim, width=width, seed=width + in_dim))
+    p = _random_params(in_dim, width, width + in_dim)
     X_all = np.random.default_rng(in_dim).random((max(FORWARD_SIZES), in_dim)) * 2.0 - 0.5
     for n in FORWARD_SIZES:
         row_calls.clear()
         X = X_all[:n]
         assert np.array_equal(forward_array(p, X), _serial_forward(p, X)), n
         _assert_block_layout(row_calls, n, 65536 // width)
+
+
+SWEEP_SIZES = (*range(4090, 4120), *range(8180, 8270), *range(12270, 12320),
+               1, 2, 3, 5, 17, 63, 64, 65, 100, 255, 1000, 1023, 1024, 1025, 1808, 2047,
+               2048, 3001, 5000, 16383, 16384, 16385, 20000, 24577, 32768, 40001, 50000,
+               65537, 74000, 81919, 90000)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("width", [64, 128])
+@pytest.mark.parametrize("in_dim", [2, 17])
+def test_forward_array_wide_sweep_bitwise_equals_serial(blas_threads, width, in_dim):
+    """Sizes around the first chunk's split point (4096), the chunk edge
+    (8192, where a tail of its own starts) and the second chunk's split, and a
+    spread up to 90,000 rows."""
+    blas_threads(1)
+    p = _random_params(in_dim, width, width + in_dim)
+    X_all = np.random.default_rng(in_dim).random((max(SWEEP_SIZES), in_dim)) * 2.0 - 0.5
+    # a prefix's whole chunks have the same bits as in the longest input
+    whole = _serial_forward(p, X_all)
+    for n in SWEEP_SIZES:
+        s = n // 8192 * 8192
+        expected = np.concatenate([whole[:s], _serial_forward(p, X_all[s:n])])
+        assert np.array_equal(forward_array(p, X_all[:n]), expected), n
+
+
+class _StubPool:
+    """A helper pool whose task runs at once on the calling thread, or never
+    (its future comes back cancelled, so waiting on it cannot hang)."""
+
+    def __init__(self, run):
+        self.run = run
+
+    def submit(self, fn, *args):
+        fut = Future()
+        if self.run:
+            fut.set_running_or_notify_cancel()
+            fn(*args)
+            assert not args[-1]         # the task took every block of the queue
+            fut.set_result(None)
+        else:
+            fut.cancel()
+            fut.set_running_or_notify_cancel()
+        return fut
+
+
+@pytest.mark.parametrize("width", [64, 128])
+def test_forward_array_bits_do_not_depend_on_the_schedule(blas_threads, monkeypatch, width):
+    """All blocks on the caller, all through the helper's buffers, or as the
+    two threads take them: the same bits as the serial chunk loop."""
+    blas_threads(1)
+    p = _random_params(2, width, width)
+    X_all = np.random.default_rng(width).random((50_000, 2)) * 2.0 - 0.5
+    pools = {"shared": net._helper_pool, "caller only": lambda: _StubPool(False),
+             "helper only": lambda: _StubPool(True)}
+    for n in (848, 1808, 10_000, 50_000):
+        X = X_all[:n]
+        expected = _serial_forward(p, X)
+        for schedule, pool in pools.items():
+            monkeypatch.setattr(net, "_helper_pool", pool)
+            assert np.array_equal(forward_array(p, X), expected), (n, schedule)
 
 
 def test_forward_array_multithreaded_blas_does_not_split(blas_threads, row_calls):
@@ -364,11 +435,12 @@ def test_forward_array_multithreaded_blas_does_not_split(blas_threads, row_calls
 
 
 def test_forward_array_memory_does_not_grow_with_rows(blas_threads):
-    """Beyond its output the call allocates its activation buffers: as much at
-    10,000 rows as at 50,000, and at most four buffers of twice 1,024 rows.
-    tracemalloc also counts each thread's 64 KiB ufunc buffer of the bias add,
-    whose lifetimes overlap or not as the threads happen to run, and the
-    Python objects of the call (futures, frames), a few hundred bytes."""
+    """Beyond its output the call allocates four activation buffers of the
+    longest block (1,024 rows) and one 64 KiB bias tile per hidden layer: as
+    much at 10,000 rows as at 50,000.  tracemalloc also counts the Python
+    objects of the call (about 11 KiB: the block list and its queue, the
+    future, frames), of which one (lo, hi) tuple per block grows with the
+    rows, up to 4 KiB more at 50,000 rows here."""
     blas_threads(1)
     p = init_params(NetworkConfig(in_dim=2, width=64, seed=2))
     X = np.random.default_rng(8).random((50_000, 2))
@@ -385,8 +457,8 @@ def test_forward_array_memory_does_not_grow_with_rows(blas_threads):
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert abs(extra[0] - extra[1]) <= 2 * 65536 + 4096
-    assert extra[0] <= 4 * (2 * 1024) * 64 * 8
+    assert abs(extra[0] - extra[1]) <= 8192
+    assert extra[0] <= 4 * 1024 * 64 * 8 + 4 * 8192 * 8 + 32768
 
 
 def test_forward_array_in_forked_child(blas_threads, row_calls):
@@ -421,26 +493,38 @@ def test_forward_array_in_forked_child(blas_threads, row_calls):
 @pytest.mark.parametrize("faulty_half", ["caller", "helper"])
 def test_forward_array_error_in_either_half_waits_for_the_other(blas_threads, monkeypatch,
                                                                 faulty_half):
+    """The faulty thread fails its first block while the other is inside one.
+    No thread starts another block, and the error propagates only after the
+    helper has finished the block it was running."""
     blas_threads(1)
     real = net._forward_block
     caller = threading.get_ident()
-    finished = []
+    healthy_inside, faulting = threading.Event(), threading.Event()
+    started, finished = [], []
 
     def rows(layers, X, bufs, out, lo, hi):
         on_helper = threading.get_ident() != caller
+        started.append(on_helper)
         if on_helper == (faulty_half == "helper"):
+            assert healthy_inside.wait(timeout=10)
+            faulting.set()
             raise RuntimeError("fault in one half")
-        time.sleep(0.05)                # still running when the other half fails
+        healthy_inside.set()
+        assert faulting.wait(timeout=10)
+        time.sleep(0.05)                # the fault reaches the queue meanwhile
         real(layers, X, bufs, out, lo, hi)
-        finished.append(lo)
+        finished.append(on_helper)
 
     monkeypatch.setattr(net, "_forward_block", rows)
     p = init_params(NetworkConfig(in_dim=2, width=16, seed=1))
-    X = np.random.default_rng(7).random((2048, 2))
+    X = np.random.default_rng(7).random((3 * 8192, 2))   # six blocks of 4096 rows
     with pytest.raises(RuntimeError, match="fault in one half"):
         forward_array(p, X)
-    # the healthy half ran to its end before the fault propagated
-    assert finished == [1024 if faulty_half == "caller" else 0]
+    # one block each: the healthy thread ran its block to the end and then
+    # took no other, and the faulty one failed its first
+    healthy_on_helper = faulty_half == "caller"
+    assert sorted(started) == [False, True]
+    assert finished == [healthy_on_helper]
     # and the helper is idle: nothing of the failed call is still queued
     assert net._helper_pool().submit(len, finished).result(timeout=10) == 1
 

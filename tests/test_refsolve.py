@@ -350,9 +350,7 @@ def test_neumann_edge_derivative_keeps_its_negative_zero():
 @pytest.mark.parametrize("name", _FIVE)
 def test_rhs_writes_into_out_without_allocating(name):
     prob = make_problem(name)
-    # a 2-D stencil on strided views takes numpy's fixed 64 KiB iterator
-    # buffer, so its grid is large enough for that to stay below the bound
-    nx = 2048 if prob.d == 1 else 512
+    nx = 2048 if prob.d == 1 else _DEFAULT_NX[name]
     shape = (2, nx) if name == "wave1d" else (nx,) * prob.d
     rhs, is_system = refsolve._rhs_factory(prob, 2.0 / (nx - 1), nx)
     assert is_system == (name == "wave1d")
