@@ -14,7 +14,7 @@ from cpl.baselines import mc_misuse_projection, riemann_invariants
 from cpl.net import NetworkConfig, forward_array, init_params
 from cpl.pde import make_problem
 from cpl.projection import estimate_moments, solve_affine
-from cpl.sampler import SeededRng, spatial_cloud
+from cpl.sampler import SeededRng, sample_interior, spatial_cloud
 
 prob = make_problem("sine_gordon_nd", dim=1)
 targets = prob.domain_averaged_targets()
@@ -39,7 +39,7 @@ print(f"{'n':>7} {'discrete same-cloud':>20} {'discrete held-out':>18} "
 for n in (100, 1000, 10_000):
     devs_same, devs_out = [], []
     for _ in range(30):
-        pts = prob.domain.lower[0] + rng.uniform((n, 1)) * vol
+        pts = sample_interior(prob.domain, n, rng)
         vals = field(pts)
         proj = mc_misuse_projection(vals, vol, c1b * vol, c2b * vol)
         dv = vol / n

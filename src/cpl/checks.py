@@ -108,18 +108,20 @@ def check_mixed_mode():
 
 
 def check_tape_count_deterministic():
-    cfg, p = _small_net(2)
     prob = pdemod.make_problem("advection1d")
-    counts = []
-    for _ in range(3):
-        tape = Tape()
-        tn = TapeNet(tape, p)
-        X = np.full((5, 2), 0.3)
-        pdemod.residual_full(prob, NetField(tn, X[:, :1], 0.25))
-        counts.append((len(tape), tape.num_slots))
-    mismatches = sum(c != counts[0] for c in counts)
+    mismatches, firsts = 0, []
+    for (seed, width), X, t in (((2, 8), np.full((5, 1), 0.3), 0.25),
+                                ((0, 4), np.linspace(0.1, 1.9, 6).reshape(-1, 1), 0.2)):
+        _, p = _small_net(seed, width)
+        counts = []
+        for _ in range(3):
+            tape = Tape()
+            pdemod.residual_full(prob, NetField(TapeNet(tape, p), X, t))
+            counts.append((len(tape), tape.num_slots))
+        mismatches += sum(c != counts[0] for c in counts)
+        firsts.append(counts[0])
     return CheckResult("adcore/tape-count-deterministic", mismatches == 0, mismatches, 0,
-                       note=f"nodes, slots = {counts[0]}")
+                       note=f"nodes, slots = {firsts[0]} and {firsts[1]}")
 
 
 def check_sobol_reference():

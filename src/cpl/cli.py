@@ -19,7 +19,7 @@ import os
 import sys
 
 from .errors import ConfigError, NumericalAbort
-from .net import NetworkConfig, init_params, pin_heap, set_blas_threads
+from .net import NetworkConfig, init_params, set_blas_threads
 from .sampler import spatial_cloud
 from .trainer import (RngSet, TrainConfig, build_problem, ensure_reference, evaluate,
                       plan_step, run_training, step_baseline, step_sdifp)
@@ -282,9 +282,6 @@ def main(argv=None) -> int:
     # set through the library; a count the environment sets is left alone.
     if not any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
         set_blas_threads(1)
-    # It also allocates its activation buffers in one block per call; fixed
-    # malloc thresholds keep them in the heap instead of faulting them in anew.
-    pin_heap()
     parser = make_parser()
     try:
         args = parser.parse_args(argv)

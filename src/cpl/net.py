@@ -131,32 +131,6 @@ def set_blas_threads(n):
         fn(int(n))
 
 
-_M_TRIM_THRESHOLD = -1  # glibc mallopt parameter numbers
-_M_MMAP_THRESHOLD = -3
-
-
-def pin_heap():
-    """Keep freed memory in the C heap for reuse, where glibc's mallopt exists.
-
-    With glibc's moving defaults a block of a few MiB is served by a fresh
-    mapping, or the free top of the heap that held it is handed back to the
-    system, so forward_array's activation buffers (one block of 2 MiB at
-    width 64) page-fault in anew on the next call.  Blocks below 64 MiB now
-    come from the heap, and the heap is trimmed only when 256 MiB at its top
-    are free.  Returns whether both settings took; where mallopt is missing
-    it does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return False
-    mallopt.restype = ctypes.c_int
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    # a trim threshold alone would also stop glibc from raising its mmap
-    # threshold, so it is set only once the mmap threshold took
-    return bool(mallopt(_M_MMAP_THRESHOLD, 64 << 20) and mallopt(_M_TRIM_THRESHOLD, 256 << 20))
-
-
 def _helper_pool():
     """The one helper thread of this process, started on first use.
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .net import TIME
-from .sampler import Domain, SeededRng
+from .sampler import Domain, SeededRng, sample_interior
 
 PROBLEM_NAMES = ("advection1d", "advection2d", "reaction_diffusion1d", "wave1d",
                  "kdv1d", "sine_gordon_nd", "fokker_planck_linear_nd")
@@ -208,7 +208,7 @@ def boundary_groups(domain: Domain, n, rng: SeededRng):
     d = domain.dim
     lo = np.asarray(domain.lower)
     hi = np.asarray(domain.upper)
-    X = lo + rng.uniform((n, d)) * (hi - lo)
+    X = sample_interior(domain, n, rng)
     coords = rng.integers(0, d, size=n)
     sides = rng.integers(0, 2, size=n)
     groups = {}

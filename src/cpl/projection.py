@@ -17,7 +17,7 @@ import numpy as np
 
 from . import net as netmod
 from .autodiff import Tape
-from .errors import IllPosedTargets
+from .errors import IllPosedTargets, NumericalAbort
 from .jets import Jet
 
 EPS_FLOOR = 1e-8  # variance relaxation floor used in the roots and the Jacobians
@@ -49,7 +49,9 @@ class MomentEstimate:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("moment estimation needs at least two points")
-        if self.mu2 < self.mu1 * self.mu1 - 1e-12:
+        # relative to mu2: a flat field with a large mean leaves a roundoff
+        # deficit that the variance floor in solve_affine handles
+        if self.mu2 < self.mu1 * self.mu1 - 1e-12 * (1.0 + self.mu2):
             raise ValueError("second moment below the square of the first")
 
     @property
@@ -112,7 +114,7 @@ def solve_affine(moments: MomentEstimate, targets: TargetInvariants, eps=EPS_FLO
     map differentiates exactly what was evaluated forward.
     """
     if not (np.isfinite(moments.mu1) and np.isfinite(moments.mu2)):
-        raise ValueError("non-finite moments")
+        raise NumericalAbort("non-finite moments")
     c1, c2, v_target = targets.at(moments.t)
     sigma2 = max(moments.variance, eps)
     alpha = float(np.sqrt(v_target / sigma2))

@@ -167,8 +167,7 @@ def sobol_points(m, d, skip=0):
 
 def uniform_points(m, d, rng: SeededRng):
     """i.i.d. uniform points over [0,1)^d from a seeded stream."""
-    pts = rng.uniform((m, d)) if m > 0 else np.empty((0, d))
-    return PointCloud(np.asarray(pts).reshape(m, d))
+    return PointCloud(rng.uniform((m, d)))
 
 
 def map_to_domain(cloud: PointCloud, domain: Domain) -> PointCloud:
@@ -177,6 +176,11 @@ def map_to_domain(cloud: PointCloud, domain: Domain) -> PointCloud:
     hi = np.asarray(domain.upper)
     pts = lo + cloud.points * (hi - lo)
     return PointCloud(pts)
+
+
+def sample_interior(domain: Domain, n, rng: SeededRng):
+    """n i.i.d. uniform points in the domain box, as an (n, d) array."""
+    return map_to_domain(uniform_points(n, domain.dim, rng), domain).points
 
 
 def spatial_cloud(m, domain: Domain, skip=0):

@@ -30,7 +30,7 @@ from .net import (ArrayNet, MLPParams, NetField, NetworkConfig, TapeNet,
 from .pde import PDEProblem, boundary_groups, neumann_loss, residual_sampled, scaled
 from .projection import (AffineField, estimate_moments, moments_at_times,
                          projection_jacobians, solve_affine)
-from .sampler import SeededRng, sample_subsets, spatial_cloud
+from .sampler import SeededRng, sample_interior, sample_subsets, spatial_cloud
 
 METHODS = ("vanilla", "soft", "discrete_proj", "sdifp")
 ESTIMATORS = ("full", "ds_uge", "soo")
@@ -151,12 +151,6 @@ class RngSet:
         self.icbc = SeededRng(seed, 4)
         self.proj = SeededRng(seed, 5)
         self.eval = SeededRng(seed, 6)
-
-
-def sample_interior(domain, n, rng):
-    lo = np.asarray(domain.lower)
-    hi = np.asarray(domain.upper)
-    return lo + rng.uniform((n, domain.dim)) * (hi - lo)
 
 
 def _slice_layout(n, n_slices):

@@ -144,22 +144,6 @@ def test_mixed_mode_jet_gradient_vs_fd():
     assert np.max(np.abs(g - g_fd) / scale) <= 1e-5
 
 
-def test_tape_count_deterministic_for_fixed_config():
-    cfg = NetworkConfig(in_dim=2, hidden_layers=2, width=4, seed=0)
-    params = init_params(cfg)
-    X = np.linspace(0.1, 1.9, 6).reshape(-1, 1)
-    from cpl.net import NetField
-    from cpl.pde import make_problem, residual_full
-    prob = make_problem("advection1d")
-    counts = []
-    for _ in range(3):
-        tape = Tape()
-        tn = TapeNet(tape, params)
-        residual_full(prob, NetField(tn, X, 0.2))
-        counts.append((len(tape), tape.num_slots))
-    assert counts[0] == counts[1] == counts[2]
-
-
 def test_tape_topological_order():
     t = Tape()
     x = t.leaf(1.0)

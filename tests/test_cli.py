@@ -220,6 +220,36 @@ def test_numerical_abort_exit_code(monkeypatch, tmp_path):
     assert main(["train", "--out", str(tmp_path)] + FAST_TRAIN) == 3
 
 
+def test_diverging_train_exits_3(tmp_path, capsys):
+    # an Adam step of 1e300 overflows the network; the moments of the next
+    # evaluation are then non-finite
+    args = ["train", "--out", str(tmp_path), "--problem", "advection1d", "--method", "sdifp",
+            "--epochs", "3", "--batch-n", "16", "--cloud-m", "256", "--n-time-slices", "2",
+            "--width", "8", "--hidden-layers", "2", "--eval-every", "1",
+            "--eval-cloud", "256", "--ref-nx", "128", "--lr0", "1e300"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == 3
+    assert "numerical abort: non-finite moments" in capsys.readouterr().err.splitlines()
+
+
+def test_sweep_records_real_divergence_as_status_row(tmp_path):
+    # after one Adam step of 6e152 every unit saturates and u is an odd
+    # multiple of the step; mean(u*u) overflows at d = 2 only (there from
+    # 3e152-4e152 on, at d = 1 and 3 from 8e152-1.5e153 on)
+    args = ["sweep", "--axis", "dimension", "--values", "1,2,3",
+            "--out", str(tmp_path), "--problem", "sine_gordon_nd",
+            "--method", "sdifp", "--epochs", "1", "--batch-n", "8",
+            "--cloud-m", "128", "--n-time-slices", "1", "--width", "6",
+            "--hidden-layers", "2", "--n-ic", "4", "--n-bc", "4",
+            "--eval-cloud", "128", "--lr0", "6e152"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == 0
+    lines = (tmp_path / "sweep_dimension.csv").read_text().splitlines()
+    assert [line.split(",")[-1] for line in lines[1:]] == [
+        '"ok"', '"aborted: non-finite moments"', '"ok"']
+    assert all(np.isfinite(float(line.split(",")[2])) for line in (lines[1], lines[3]))
+
+
 def test_sweep_dimension_conservation_column(tmp_path):
     # desk-scale slice of the dimension-scaling study: held-out conservation
     # error stays small as d grows

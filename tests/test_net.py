@@ -1,6 +1,5 @@
 import gc
 import os
-import resource
 import sys
 import threading
 import time
@@ -553,18 +552,3 @@ def test_forward_array_concurrent_callers_share_the_helper(blas_threads):
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-
-
-def test_pinned_heap_keeps_forward_buffers_paged_in():
-    """Unpinned, glibc hands part of the activation buffers (2 MiB in one block
-    here) back to the system after each call, and each of these calls faults
-    about 50 pages in anew; pinned, ten calls fault a handful."""
-    if not net.pin_heap():
-        pytest.skip("the C library has no glibc mallopt")
-    p = init_params(NetworkConfig(in_dim=2, hidden_layers=2, width=64, seed=0))
-    X = np.random.default_rng(0).random((10_000, 2))
-    forward_array(p, X)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(10):
-        forward_array(p, X)
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpl.autodiff import Tape, finite_diff_gradient
-from cpl.errors import IllPosedTargets
+from cpl.errors import IllPosedTargets, NumericalAbort
 from cpl.net import ArrayNet, MLPParams, NetworkConfig, forward_array, init_params
 from cpl.jets import Jet
 from cpl.projection import (EPS_FLOOR, AffineField, AffineParams, MomentEstimate,
@@ -104,8 +104,18 @@ class TestSolveAffine:
     def test_non_finite_moments(self):
         mo = MomentEstimate(0.0, 1.0, 10, 0.0)
         object.__setattr__(mo, "mu1", float("nan"))
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalAbort):
             solve_affine(mo, _targets(0.0, 1.0))
+
+    def test_flat_field_with_large_mean_reaches_floor(self):
+        # mean(u*u) often falls ulps of 1e6 below mean(u)**2 here; that is
+        # roundoff, not a violated invariant, and the variance floor sets alpha
+        for seed in range(200):
+            u = 1000.0 + 1e-9 * np.random.default_rng(seed).standard_normal(10_000)
+            mo = MomentEstimate(float(u.mean()), float((u * u).mean()), u.size, 0.0)
+            af = solve_affine(mo, _targets(0.0, 1.0))
+            assert af.alpha == np.sqrt(1.0 / EPS_FLOOR)
+
 
 class TestJacobians:
     def test_worked_example(self):
