@@ -9,12 +9,15 @@ returns one adjoint per node.
 Besides the elementwise primitives the tape has structured ops for the
 network: ``tanh_layer``, one whole hidden layer tanh(h @ W.T + b) as one node
 that holds its output and 1 - y^2, and no pre-activation; ``affine``, the
-bias-free h @ W.T of a jet coefficient; ``project``, the scalar head, with an
+bias-free h @ W.T of a jet coefficient; ``affine_mul``, the top-order term
+(k * (h @ W.T)) * w of a layer's jet, which keeps no pre-activation either
+and forms it again in the sweep; ``project``, the scalar head, with an
 optional bias.  Further there are reductions (``mean``, ``sum``) and
 ``slope``: the 1 - y^2 of a tanh output, as one node whose value is the
 partial the tanh node already stores.  ``hold`` keeps a place on the tape for
-a node recorded later, so a value read late sits where reading it early would
-have put it, and the reverse sweep adds up its adjoints in the same order.
+a node recorded later (``leaf``, ``record`` and ``project`` take it as
+``at``), so a value read late sits where reading it early would have put it,
+and the reverse sweep adds up its adjoints in the same order.
 
 Node count is the memory proxy used everywhere else: ``num_slots`` counts
 scalar float64 slots across all recorded values, so it grows linearly with
@@ -157,12 +160,13 @@ class Tape:
                     arrays[id(p)] = p
         return sum(a.nbytes for a in arrays.values())
 
-    def leaf(self, value):
-        """Register an input/parameter leaf."""
-        return self._push("leaf", (), None, np.asarray(value, dtype=np.float64))
+    def leaf(self, value, at=None):
+        """Register an input/parameter leaf, in the place ``at`` when given."""
+        return self._push("leaf", (), None, np.asarray(value, dtype=np.float64), at)
 
-    def record(self, op, *args):
-        """Apply a scalar primitive, appending one node with its local partials.
+    def record(self, op, *args, at=None):
+        """Apply a scalar primitive, appending one node with its local partials
+        (or recording it in the place ``at`` when given).
 
         Operands may be tape variables or plain constants; constants do not
         become nodes of their own.
@@ -185,7 +189,7 @@ class Tape:
                 pb = -val / bv
             parents = (a.idx if isinstance(a, Var) else None,
                        b.idx if isinstance(b, Var) else None)
-            return self._push(op, parents, (pa, pb), np.asarray(val, dtype=np.float64))
+            return self._push(op, parents, (pa, pb), np.asarray(val, dtype=np.float64), at)
 
         (x,) = args
         xv = x.value if isinstance(x, Var) else _as_value(x)
@@ -206,7 +210,7 @@ class Tape:
         else:
             raise ValueError(f"unknown primitive {op!r}")
         parent = (x.idx if isinstance(x, Var) else None,)
-        return self._push(op, parent, (partial,), np.asarray(val, dtype=np.float64))
+        return self._push(op, parent, (partial,), np.asarray(val, dtype=np.float64), at)
 
     # -- structured ops ------------------------------------------------------
 
@@ -214,6 +218,19 @@ class Tape:
         """h @ W.T for h (B, in), W (out, in): a layer's jet coefficient,
         which takes no bias."""
         return self._push("affine", (h.idx, W.idx), None, h.value @ W.value.T)
+
+    def affine_mul(self, h, W, k, w):
+        """(k * (h @ W.T)) * w, with no scaling at k = 1, as one node: the
+        top-order term of a layer's jet, whose pre-activation has no other
+        reader.
+
+        The bits are those of an ``affine`` node, a ``mul`` by k and a ``mul``
+        by w.  The pre-activation is not kept; the sweep forms it again.
+        """
+        z = h.value @ W.value.T
+        if k != 1:
+            z = float(k) * z
+        return self._push("affine_mul", (h.idx, W.idx, w.idx), (k,), z * w.value)
 
     def tanh_layer(self, h, W, b):
         """y = tanh(h @ W.T + b) for h (B, in), W (out, in), b (out,), as one
@@ -288,6 +305,19 @@ class Tape:
                 _acc(adj, par[1], a.T @ h)
                 if len(par) == 3:
                     _acc(adj, par[2], a.sum(axis=0))
+            elif op == "affine_mul":
+                # the chain's sweep: w's adjoint, then through the k scaling
+                # to the affine map
+                h, W, w = (values[p] for p in par)
+                k = partials[i][0]
+                z = h @ W.T
+                a_z = a * w
+                if k != 1:
+                    z = float(k) * z
+                    a_z = a_z * float(k)
+                _acc(adj, par[2], a * z)
+                _acc(adj, par[0], a_z @ W)
+                _acc(adj, par[1], a_z.T @ h)
             elif op == "project":
                 h = values[par[0]]
                 w = values[par[1]]

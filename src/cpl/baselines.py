@@ -10,6 +10,7 @@ baseline lives in ``trainer.step_baseline``, where it is trained.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,10 @@ def combined_scalars(field, dv, c1, c2):
 
     The centered field is rescaled onto the sphere, then recentered at the
     mean the linear constraint dictates.  ``field`` is a numpy array or a tape
-    variable; (a, b) are of the same kind, so the projection can be
-    differentiated on a tape.
+    variable; a is of the same kind, so the projection can be differentiated
+    on a tape.  On a tape b is a function of no arguments that records the
+    shift on its first call, in places held where it would have been recorded
+    here; over numpy b is a number.
     """
     taped = isinstance(field, Var)
     n = (field.value if taped else field).size
@@ -104,8 +107,14 @@ def combined_scalars(field, dv, c1, c2):
     den = field.tape.sum(centered * centered) if taped else (centered * centered).sum()
     if float(den.value if taped else den) <= 1e-300:
         raise DegenerateField("zero-variance field has no nearest point on the sphere")
-    a = (radius2 / den).sqrt() if taped else np.sqrt(radius2 / den)
-    return a, c1 / (n * dv) - a * mu
+    if not taped:
+        a = np.sqrt(radius2 / den)
+        return a, c1 / (n * dv) - a * mu
+    tape = field.tape
+    a = (radius2 / den).sqrt()
+    at = tape.hold(), tape.hold()
+    return a, functools.cache(lambda: tape.record(
+        "sub", c1 / (n * dv), tape.record("mul", a, mu, at=at[0]), at=at[1]))
 
 
 def proj_combined(field, dv, c1, c2):

@@ -21,7 +21,8 @@ from . import refsolve
 from .autodiff import Tape, finite_diff_derivatives, finite_diff_gradient, jet_to_derivatives
 from .baselines import proj_combined, proj_linear, proj_quadratic
 from .jets import Jet, jet_tanh
-from .net import ArrayNet, MLPParams, NetField, NetworkConfig, TapeNet, forward_array, init_params
+from .net import (TIME, ArrayNet, MLPParams, NetField, NetworkConfig, TapeNet, forward_array,
+                  init_params)
 from .projection import (MomentEstimate, TargetInvariants, estimate_moments,
                          moment_grad_estimates, projected_grad, projection_jacobians,
                          same_batch_shift, solve_affine)
@@ -88,22 +89,23 @@ def check_jet_vs_fd():
 
 
 def check_mixed_mode():
-    cfg, p = _small_net(4)
-    X = SeededRng(4, 3).uniform((3, 2)) * 2.0
     worst = 0.0
-    for order in (1, 2, 3):
-        tape = Tape()
-        tn = TapeNet(tape, p)
-        jet = tn.forward_jet(X, 0, order)
-        g = tn.grad(tape.backward(tape.sum(jet.coeff(order))))
+    for (seed, width), n in (((4, 8), 3), ((11, 5), 4)):
+        cfg, p = _small_net(seed, width)
+        X = SeededRng(seed, 3).uniform((n, 2)) * 2.0
+        for coord, order in itertools.product((0, TIME), (1, 2, 3)):
+            tape = Tape()
+            tn = TapeNet(tape, p)
+            jet = tn.forward_jet(X, coord, order)
+            g = tn.grad(tape.backward(tape.sum(jet.coeff(order))))
 
-        def f(theta):
-            an = ArrayNet(MLPParams(cfg, theta.copy()))
-            return float(an.forward_jet(X, 0, order).coeff(order).sum())
+            def f(theta):
+                an = ArrayNet(MLPParams(cfg, theta.copy()))
+                return float(an.forward_jet(X, coord, order).coeff(order).sum())
 
-        g_fd = finite_diff_gradient(f, p.flat)
-        scale = np.maximum(np.abs(g_fd), 1e-6)
-        worst = max(worst, float(np.max(np.abs(g - g_fd) / scale)))
+            g_fd = finite_diff_gradient(f, p.flat)
+            scale = np.maximum(np.abs(g_fd), 1e-6)
+            worst = max(worst, float(np.max(np.abs(g - g_fd) / scale)))
     return CheckResult("adcore/mixed-mode-jet-grad", worst <= 1e-5, worst, 1e-5)
 
 

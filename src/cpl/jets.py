@@ -33,6 +33,12 @@ def _tanh_slope(y):
     return y.tape.tanh_slope(y) if isinstance(y, Var) else 1.0 - y * y
 
 
+def _read(x):
+    """x, or what x gives when it is a function of no arguments: a value that
+    is recorded only once something reads it."""
+    return x() if callable(x) else x
+
+
 def _add(a, b):
     if a is None:
         return b
@@ -86,15 +92,20 @@ class Jet:
 
     def scale_shift(self, scale, shift):
         """Affine image of the jet: coefficient 0, formed on its first read,
-        gains the shift."""
+        gains the shift, which may be a function of no arguments read then."""
         out = [None] + [None if c is None else c * scale for c in self._coeffs[1:]]
-        return Jet(out, lambda: _add(_mul(self.coeff(0), scale), shift))
+        return Jet(out, lambda: _add(_mul(self.coeff(0), scale), _read(shift)))
 
 
-def tanh_series(x, y0, w0):
+def tanh_series(x, y0, w0, top=None):
     """Coefficients of tanh along the jet coefficients x, given the primal
     y0 = tanh(x[0]) and w0 = 1 - y0^2 (x[0] is not read).  The coefficients
-    of w = 1 - y^2 are formed only below the top order, which reads none."""
+    of w = 1 - y^2 are formed only below the top order, which reads none.
+
+    ``top``, when given, is a function of no arguments that forms the top
+    order's last term K * x[K] * w0 (x[K] is then None); it is called where
+    the recurrence would have formed that term.
+    """
     k_max = len(x) - 1
     y = [y0] + [None] * k_max
     w = [w0] + [None] * k_max  # w = 1 - y^2
@@ -105,6 +116,8 @@ def tanh_series(x, y0, w0):
             if cj is None:
                 continue
             acc = _add(acc, _mul(float(j) * cj if j > 1 else cj, w[k - j]))
+        if k == k_max and top is not None:
+            acc = _add(acc, top())
         y[k] = _over_k(acc, k)
         if k < k_max:
             acc = None

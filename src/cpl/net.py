@@ -333,6 +333,14 @@ def _affine(h, W):
     return h.tape.affine(h, W) if isinstance(h, Var) else h @ W.T
 
 
+def _affine_mul(h, W, k, w):
+    """(k * (h @ W.T)) * w: on a tape one node that keeps no pre-activation."""
+    if isinstance(h, Var):
+        return h.tape.affine_mul(h, W, k, w)
+    z = h @ W.T
+    return (z if k == 1 else float(k) * z) * w
+
+
 def _head(h, w, b0=None, at=None):
     if isinstance(h, Var):
         return h.tape.project(h, w, b0, at)
@@ -401,8 +409,12 @@ class NetField:
         for layer, (W, _) in zip(hidden, self.net.hidden):
             if layer[1] is None:
                 layer[1] = _tanh_slope(layer[0])
-            z = [None] + [None if c is None else _affine(c, W) for c in x[1:]]
-            x = tanh_series(z, *layer)
+            # the top coefficient's pre-activation has one reader, the top
+            # order's last term, which forms it as one node
+            z = [None] + [None if c is None else _affine(c, W) for c in x[1:-1]] + [None]
+            top = x[-1]
+            x = tanh_series(z, *layer, top=None if top is None else
+                            lambda: _affine_mul(top, W, order, layer[1]))
         return Jet([None] + [None if c is None else _head(c, self.net.head_w)
                              for c in x[1:]], self.value)
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import net as netmod
 from .autodiff import Tape
 from .errors import IllPosedTargets, NumericalAbort
-from .jets import Jet
+from .jets import Jet, _read
 
 EPS_FLOOR = 1e-8  # variance relaxation floor used in the roots and the Jacobians
 
@@ -99,9 +99,11 @@ def moments_at_times(params, cloud_points: np.ndarray, times) -> list:
               for t in times]
     u = netmod.forward_array(params, np.concatenate(blocks, axis=0)).reshape(len(times), m)
     out = []
-    for i, t in enumerate(times):
-        out.append(MomentEstimate(mu1=float(u[i].mean()), mu2=float((u[i] * u[i]).mean()),
-                                  m=m, t=float(t)))
+    # a diverged field's moments overflow silently: solve_affine reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, t in enumerate(times):
+            out.append(MomentEstimate(mu1=float(u[i].mean()), mu2=float((u[i] * u[i]).mean()),
+                                      m=m, t=float(t)))
     return out
 
 
@@ -199,9 +201,11 @@ class AffineField:
     """Field view of u~ = alpha * u_raw + beta over a base field.
 
     alpha and beta may be floats (frozen projection) or tape variables
-    (differentiable scalars); every spatial-derivative jet coefficient of
-    the projected field is alpha times the raw coefficient, which is what
-    keeps homogeneous Neumann boundaries intact.
+    (differentiable scalars); beta may also be a function of no arguments,
+    read only when a value or a coefficient 0 is formed.  Every
+    spatial-derivative jet coefficient of the projected field is alpha times
+    the raw coefficient, which is what keeps homogeneous Neumann boundaries
+    intact.
     """
 
     def __init__(self, base, alpha, beta):
@@ -210,7 +214,7 @@ class AffineField:
         self.beta = beta
 
     def value(self):
-        return self.alpha * self.base.value() + self.beta
+        return self.alpha * self.base.value() + _read(self.beta)
 
     def jet(self, coord, order) -> Jet:
         return self.base.jet(coord, order).scale_shift(self.alpha, self.beta)

@@ -285,8 +285,10 @@ def step_sdifp(params, problem, cfg, plan: StepPlan, smc_points, targets,
     loss_pde, value_evals = 0.0, 0
 
     def project(k, t):
-        leaves.append((tape.leaf(affines[k].alpha), tape.leaf(affines[k].beta)))
-        return leaves[-1]
+        # beta is recorded on its first read, in the place held for it here
+        alpha, at = tape.leaf(affines[k].alpha), tape.hold()
+        leaves.append((alpha, at))
+        return alpha, functools.cache(lambda: tape.leaf(affines[k].beta, at=at))
 
     def slice_loss(s, fld, X, t):
         nonlocal loss_pde, value_evals
@@ -365,10 +367,13 @@ def _discrete_projection(net, problem, targets, t_s, support):
     vol = problem.domain.volume
     c1, c2, _ = targets.at(t_s)
     u = NetField(net, pts, t_s).value()
-    a, b = combined_scalars(u, dv, c1 * vol, c2 * vol)
-    av, uv, bv = (getattr(x, "value", x) for x in (a, u, b))
+    ab = combined_scalars(u, dv, c1 * vol, c2 * vol)
+    uv = getattr(u, "value", u)
+    # on a tape b is recorded only when read; the values' own scalars have
+    # the recorded bits
+    av, bv = ab if uv is u else combined_scalars(uv, dv, c1 * vol, c2 * vol)
     r1, r2 = riemann_invariants(av * uv + bv, dv)
-    return (a, b), (abs(r1 - c1 * vol), abs(r2 - c2 * vol))
+    return ab, (abs(r1 - c1 * vol), abs(r2 - c2 * vol))
 
 
 def step_baseline(params, problem, cfg, plan: StepPlan, targets=None):

@@ -4,7 +4,7 @@ import pytest
 from cpl.autodiff import (AdDomainError, Tape, finite_diff_derivatives,
                           finite_diff_gradient, jet_to_derivatives)
 from cpl.jets import Jet, UnsupportedJetOp, jet_tanh
-from cpl.net import ArrayNet, MLPParams, NetworkConfig, TapeNet, init_params
+from cpl.net import MLPParams, NetworkConfig, TapeNet, init_params
 
 
 def test_record_mul_value_and_partials():
@@ -123,25 +123,6 @@ def test_jet_of_constant_is_flat():
     # stays structurally zero
     j = jet_tanh(Jet([np.float64(1.1), None, None, None]))
     assert all(c is None for c in j.coeffs[1:])
-
-
-def test_mixed_mode_jet_gradient_vs_fd():
-    cfg = NetworkConfig(in_dim=2, hidden_layers=2, width=5, seed=11)
-    params = init_params(cfg)
-    X = np.random.default_rng(1).random((4, 2)) * 2.0
-
-    tape = Tape()
-    tn = TapeNet(tape, params)
-    jet = tn.forward_jet(X, 0, 3)
-    g = tn.grad(tape.backward(tape.sum(jet.coeffs[3])))
-
-    def f(theta):
-        an = ArrayNet(MLPParams(cfg, theta.copy()))
-        return float(an.forward_jet(X, 0, 3).coeffs[3].sum())
-
-    g_fd = finite_diff_gradient(f, params.flat, rel_h=1e-5)
-    scale = np.maximum(np.abs(g_fd), 1e-4)
-    assert np.max(np.abs(g - g_fd) / scale) <= 1e-5
 
 
 def test_tape_topological_order():

@@ -220,14 +220,15 @@ def test_numerical_abort_exit_code(monkeypatch, tmp_path):
     assert main(["train", "--out", str(tmp_path)] + FAST_TRAIN) == 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_train_exits_3(tmp_path, capsys):
     # an Adam step of 1e300 overflows the network; the moments of the next
-    # evaluation are then non-finite
+    # evaluation are then non-finite, and reported once, by the abort alone
     args = ["train", "--out", str(tmp_path), "--problem", "advection1d", "--method", "sdifp",
             "--epochs", "3", "--batch-n", "16", "--cloud-m", "256", "--n-time-slices", "2",
             "--width", "8", "--hidden-layers", "2", "--eval-every", "1",
             "--eval-cloud", "256", "--ref-nx", "128", "--lr0", "1e300"]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="warn", invalid="warn"):
         assert main(args) == 3
     assert "numerical abort: non-finite moments" in capsys.readouterr().err.splitlines()
 

@@ -1,6 +1,8 @@
 """The jet tape records one node per tanh slope and none for x1 scalings, no
 step tape records a multiplication by 1.0, each hidden primal layer is one
-node that keeps no pre-activation, and a value nothing reads is not recorded.
+node that keeps no pre-activation, each hidden layer's top-order jet term is
+one node that keeps no pre-activation either, and a value nothing reads is
+not recorded.
 
 The constructions these replaced stay here as references:
 - ``old_construction``: ``1.0 - y * y`` as a ``mul`` + ``sub`` pair for every
@@ -9,7 +11,10 @@ The constructions these replaced stay here as references:
 - ``two_node_layers``: each hidden primal layer as an ``affine`` node with the
   bias, holding the pre-activation, then a ``tanh`` node;
 - ``eager_values``: every jet's coefficient 0 and every field's head recorded
-  with the jet, whether read or not.
+  with the jet, whether read or not;
+- ``affine_chain``: an ``affine`` node for every jet coefficient of a hidden
+  layer, the top order included, and the top-order term formed from it as a
+  ``mul`` by the order k, then a ``mul`` by the layer's slope.
 Swapping one back in must give the same bits: jet coefficients, step losses
 and step gradients alike.
 """
@@ -67,37 +72,72 @@ def two_node_layers():
 
 def _eager_scale_shift(self, scale, shift):
     out = [None if c is None else c * scale for c in self.coeffs]
-    out[0] = jets._add(out[0], shift)
+    out[0] = jets._add(out[0], jets._read(shift))
     return Jet(out)
-
-
-_lazy_jet = NetField.jet
-
-
-def _eager_jet(self, coord, order):
-    self.value()
-    return _lazy_jet(self, coord, order)
 
 
 @contextlib.contextmanager
 def eager_values():
     """Record a field's head on its first jet and a projected jet's
     coefficient 0 with the jet."""
+    lazy_jet = NetField.jet
+
+    def eager_jet(self, coord, order):
+        self.value()
+        return lazy_jet(self, coord, order)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Jet, "scale_shift", _eager_scale_shift)
-        mp.setattr(NetField, "jet", _eager_jet)
+        mp.setattr(NetField, "jet", eager_jet)
         yield
 
 
-def _preactivations(tape):
-    """Indices of affine nodes whose only reader is a tanh node."""
+def _chain_jet(self, coord, order):
+    """NetField.jet with an affine node for every coefficient: the recurrence
+    forms the top-order term from the top one."""
+    hidden = self._primal()
+    if order == 0:
+        return Jet([None], self.value)
+    B, in_dim = self.Xt.shape
+    e = np.zeros((B, in_dim))
+    e[:, in_dim - 1 if coord == TIME else coord] = 1.0
+    x = [None, self.net.leaf(e)] + [None] * (order - 1)
+    for layer, (W, _) in zip(hidden, self.net.hidden):
+        if layer[1] is None:
+            layer[1] = net._tanh_slope(layer[0])
+        z = [None] + [None if c is None else net._affine(c, W) for c in x[1:]]
+        x = jets.tanh_series(z, *layer)
+    return Jet([None] + [None if c is None else net._head(c, self.net.head_w)
+                         for c in x[1:]], self.value)
+
+
+@contextlib.contextmanager
+def affine_chain():
+    """Record each hidden layer's top-order jet term as an affine node, a mul
+    by the order and a mul by the slope."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NetField, "jet", _chain_jet)
+        yield
+
+
+def _affine_readers(tape):
+    """(index, ops of its readers) for every affine node."""
     readers = {}
     for i, par in enumerate(tape.parents):
         for p in par:
             if p is not None:
-                readers.setdefault(p, []).append(i)
-    return [i for i, op in enumerate(tape.ops)
-            if op == "affine" and [tape.ops[r] for r in readers.get(i, ())] == ["tanh"]]
+                readers.setdefault(p, []).append(tape.ops[i])
+    return [(i, readers.get(i, [])) for i, op in enumerate(tape.ops) if op == "affine"]
+
+
+def _preactivations(tape):
+    """Indices of affine nodes whose only reader is a tanh node."""
+    return [i for i, ops in _affine_readers(tape) if ops == ["tanh"]]
+
+
+def _single_reader_affines(tape):
+    """Indices of affine nodes that exactly one node reads."""
+    return [i for i, ops in _affine_readers(tape) if len(ops) == 1]
 
 
 def _is_subsequence(tape, ref):
@@ -148,10 +188,11 @@ def _field_jets(taped):
     return tape, fld, got
 
 
-@pytest.mark.parametrize("taped", [False, True])
-def test_field_jets_bitwise_equal_old_construction(taped):
+def _field_jets_equal(taped, reference):
+    """Every jet coefficient, and on a tape the gradient of a weighted sum of
+    them, has the reference's bits; returns both tapes."""
     tape, fld, got = _field_jets(taped)
-    with old_construction():
+    with reference():
         ref_tape, ref_fld, ref = _field_jets(taped)
     for key, jet in got.items():
         assert len(jet.coeffs) == len(ref[key].coeffs) == key[1] + 1
@@ -171,6 +212,22 @@ def test_field_jets_bitwise_equal_old_construction(taped):
         g = fld.net.grad(tape.backward(objective(tape, got)))
         g_ref = ref_fld.net.grad(ref_tape.backward(objective(ref_tape, ref)))
         assert g.tobytes() == g_ref.tobytes()
+    return tape, ref_tape
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_field_jets_bitwise_equal_old_construction(taped):
+    _field_jets_equal(taped, old_construction)
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_field_jets_bitwise_equal_affine_chain(taped):
+    tape, ref_tape = _field_jets_equal(taped, affine_chain)
+    if taped:
+        # one top-order pre-activation per hidden layer of each jet of order >= 1,
+        # but the first layer's above order 1, which is structurally zero
+        assert len(_single_reader_affines(ref_tape)) == 2 * (3 + 2 + 2)
+        assert _single_reader_affines(tape) == []
 
 
 def test_one_slope_node_per_hidden_layer_whatever_the_jets():
@@ -253,6 +310,23 @@ def test_step_bitwise_equal_old_construction(case, monkeypatch):
 
 @pytest.mark.parametrize("case", STEP_CASES, ids=lambda c: f"{c['problem']}-{c['method']}-"
                          f"{c.get('estimator', 'full')}")
+def test_step_bitwise_equal_affine_chain(case, monkeypatch):
+    cfg = TrainConfig(batch_n=8, cloud_m=128, n_time_slices=2, n_ic=8, n_bc=8,
+                      width=6, hidden_layers=2, seed=3, **case).validate()
+    grad, diag, tape = _step(cfg, monkeypatch)
+    with affine_chain():
+        ref_grad, ref_diag, ref_tape = _step(cfg, monkeypatch)
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert np.float64(diag.loss).tobytes() == np.float64(ref_diag.loss).tobytes()
+    assert diag.tape_nodes < ref_diag.tape_nodes
+    # the reference keeps each top-order pre-activation for its one reader;
+    # the step tape keeps no affine node that only one node reads
+    assert _single_reader_affines(ref_tape) != []
+    assert _single_reader_affines(tape) == []
+
+
+@pytest.mark.parametrize("case", STEP_CASES, ids=lambda c: f"{c['problem']}-{c['method']}-"
+                         f"{c.get('estimator', 'full')}")
 def test_step_bitwise_equal_eager_values(case, monkeypatch):
     cfg = TrainConfig(batch_n=8, cloud_m=128, n_time_slices=2, n_ic=8, n_bc=8,
                       width=6, hidden_layers=2, seed=3, **case).validate()
@@ -272,29 +346,29 @@ def test_criterion_10_config_tape_nodes_pinned(monkeypatch):
     """The step tape of `cpl train` at the configuration of acceptance criterion 10."""
     cfg = TrainConfig(problem="advection1d", method="sdifp", batch_n=25, cloud_m=2000,
                       n_time_slices=2, width=16, hidden_layers=2, seed=11).validate()
-    assert _step(cfg, monkeypatch)[1].tape_nodes == 16_720
-    with two_node_layers(), eager_values():
+    assert _step(cfg, monkeypatch)[1].tape_nodes == 13_070
+    with affine_chain(), two_node_layers(), eager_values():
         assert _step(cfg, monkeypatch)[1].tape_nodes == 21_908
         with old_construction():
             assert _step(cfg, monkeypatch)[1].tape_nodes == 28_404
 
 
 # each method's step tape at one small configuration, and the same step with
-# two-node layers and eager values; a count moves only when a step records
-# one node more or one fewer
+# affine chains, two-node layers and eager values; a count moves only when a
+# step records one node more or one fewer
 TAPE_PINS = [
-    pytest.param(dict(method="vanilla"), 1_301, 1_605, id="vanilla"),
-    pytest.param(dict(method="soft"), 1_338, 1_634, id="soft"),
-    pytest.param(dict(method="discrete_proj", proj_mode="grid", proj_support=16), 2_175, 3_103,
+    pytest.param(dict(method="vanilla"), 1_013, 1_605, id="vanilla"),
+    pytest.param(dict(method="soft"), 1_050, 1_634, id="soft"),
+    pytest.param(dict(method="discrete_proj", proj_mode="grid", proj_support=16), 1_883, 3_103,
                  id="discrete-grid"),
-    pytest.param(dict(method="discrete_proj", proj_support=16), 2_175, 3_103,
+    pytest.param(dict(method="discrete_proj", proj_support=16), 1_883, 3_103,
                  id="discrete-cloud"),
-    pytest.param(dict(method="discrete_proj", proj_support=16, proj_backprop=False), 1_341,
+    pytest.param(dict(method="discrete_proj", proj_support=16, proj_backprop=False), 1_053,
                  1_693, id="discrete-no-backprop"),
-    pytest.param(dict(method="sdifp"), 1_388, 1_732, id="sdifp-full"),
-    pytest.param(dict(method="sdifp", estimator="ds_uge", size_i=1, size_j=1), 1_164, 1_492,
+    pytest.param(dict(method="sdifp"), 1_098, 1_732, id="sdifp-full"),
+    pytest.param(dict(method="sdifp", estimator="ds_uge", size_i=1, size_j=1), 970, 1_492,
                  id="sdifp-ds_uge"),
-    pytest.param(dict(method="sdifp", estimator="soo", size_i=1), 1_164, 1_492, id="sdifp-soo"),
+    pytest.param(dict(method="sdifp", estimator="soo", size_i=1), 970, 1_492, id="sdifp-soo"),
 ]
 
 
@@ -311,8 +385,17 @@ def test_step_tape_nodes_pinned(case, slots, ref_slots, monkeypatch):
     assert _mul_by_one(tape) == []
     # only ds_uge evaluates a detached forward factor, on each of the two slices
     assert diag.value_evals == (2 if case.get("estimator") == "ds_uge" else 0)
-    with two_node_layers(), eager_values():
+    with affine_chain(), two_node_layers(), eager_values():
         assert _step(cfg, monkeypatch)[1].tape_nodes == ref_slots
+
+
+@pytest.mark.parametrize("method,slots", [("sdifp", 183_084), ("discrete_proj", 313_307)])
+def test_desk_step_tape_nodes_pinned(method, slots, monkeypatch):
+    """The step tape at the flags of the benchmark's desk workloads, whose
+    largest step tape the benchmark reports as its slot count."""
+    cfg = TrainConfig(problem="advection1d", method=method, width=64, hidden_layers=4,
+                      n_time_slices=4, batch_n=100, cloud_m=10_000, seed=1).validate()
+    assert _step(cfg, monkeypatch)[1].tape_nodes == slots
 
 
 @pytest.mark.parametrize("case,slots,ref_slots", TAPE_PINS)
@@ -429,6 +512,57 @@ def test_tanh_slope_backward_bitwise_equal_mul_sub(x, w_slope, w_before, w_after
         got = _slope_sweep(x, w_slope, w_before, w_after, lambda y: y.tape.tanh_slope(y))
         ref = _slope_sweep(x, w_slope, w_before, w_after, _old_slope)
     _same(got, ref)
+
+
+def _chain_top(h, W, k, w):
+    z = h.tape.affine(h, W)
+    return (z if k == 1 else float(k) * z) * w
+
+
+def _top_sweep(h, W, w, k, weights, w_before, w_after, top):
+    """Sweep a tape that reads w through a top-order term and, optionally,
+    through nodes recorded before and after it: the term's value and the
+    adjoints of h, W and w."""
+    tape = Tape()
+    hv, Wv, wv = tape.leaf(h), tape.leaf(W), tape.leaf(w)
+    terms = []
+    if w_before is not None:
+        terms.append(tape.sum(wv * w_before))
+    y = top(hv, Wv, k, wv)
+    terms.append(tape.sum(y * weights))
+    if w_after is not None:
+        # swept first: w already holds an adjoint when the term is swept
+        terms.append(tape.sum(wv * w_after))
+    root = terms[0]
+    for term in terms[1:]:
+        root = root + term
+    adj = tape.backward(root)
+    return y.value, adj[hv.idx], adj[Wv.idx], adj[wv.idx]
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(values, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(np.array)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=matrices(2, 3), W=matrices(2, 3), w=matrices(2, 2), k=st.sampled_from([1, 2, 3]),
+       weights=matrices(2, 2), w_before=st.one_of(st.none(), matrices(2, 2)),
+       w_after=st.one_of(st.none(), matrices(2, 2)))
+def test_affine_mul_bitwise_equal_three_node_chain(h, W, w, k, weights, w_before, w_after):
+    with np.errstate(all="ignore"):
+        got = _top_sweep(h, W, w, k, weights, w_before, w_after,
+                         lambda h, W, k, w: h.tape.affine_mul(h, W, k, w))
+        ref = _top_sweep(h, W, w, k, weights, w_before, w_after, _chain_top)
+    _same(got, ref)
+
+
+def test_affine_mul_keeps_no_preactivation():
+    tape = Tape()
+    h, W = tape.leaf(np.ones((4, 3))), tape.leaf(np.full((5, 3), 0.5))
+    y = tape.affine_mul(h, W, 2, tape.leaf(np.full((4, 5), 0.25)))
+    assert y.value.tobytes() == np.full((4, 5), 0.75).tobytes()
+    assert tape.num_slots == 12 + 15 + 20 + 20 and len(tape) == 4
 
 
 def test_tanh_slope_shares_the_tanh_partial():
