@@ -36,12 +36,6 @@ class AdDomainError(ArithmeticError):
     """Raised for primitive evaluations outside their domain (div by zero, sqrt of negative)."""
 
 
-def _as_value(x):
-    if isinstance(x, Var):
-        raise TypeError("expected a constant, got a tape variable")
-    return np.asarray(x, dtype=np.float64)
-
-
 def _unbroadcast(adj, shape):
     """Reduce an adjoint back to the shape of the operand it belongs to."""
     if adj.shape == shape:
@@ -173,8 +167,8 @@ class Tape:
         """
         if op in ("add", "sub", "mul", "div"):
             a, b = args
-            av = a.value if isinstance(a, Var) else _as_value(a)
-            bv = b.value if isinstance(b, Var) else _as_value(b)
+            av = a.value if isinstance(a, Var) else np.asarray(a, dtype=np.float64)
+            bv = b.value if isinstance(b, Var) else np.asarray(b, dtype=np.float64)
             if op == "add":
                 val, pa, pb = av + bv, 1.0, 1.0
             elif op == "sub":
@@ -192,7 +186,7 @@ class Tape:
             return self._push(op, parents, (pa, pb), np.asarray(val, dtype=np.float64), at)
 
         (x,) = args
-        xv = x.value if isinstance(x, Var) else _as_value(x)
+        xv = x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
         if op == "tanh":
             val = np.tanh(xv)
             partial = 1.0 - val * val
@@ -282,7 +276,7 @@ class Tape:
         independent (fresh adjoint buffers), so several roots of one recorded
         forward pass can be differentiated in sequence.
         """
-        ridx = root.idx if isinstance(root, Var) else int(root)
+        ridx = root.idx
         if self.values[ridx].size != 1:
             raise ValueError("backward requires a scalar root node")
         adj = [None] * len(self.ops)

@@ -1,8 +1,9 @@
 """Experiment driver: train, verify, sweep, reference.
 
 Configuration values resolve with precedence: command-line flags over the
-optional sectioned key=value config file over built-in defaults.  Every run
-writes a ``config.resolved`` file with the effective settings.  The output
+optional key = value config file (sectioned, or a run's own
+``config.resolved``) over built-in defaults.  Every run writes a
+``config.resolved`` file with the effective settings.  The output
 directory comes from --out, falling back to the CPL_OUT_DIR environment
 variable, falling back to ./runs.
 
@@ -19,7 +20,7 @@ import os
 import sys
 
 from .errors import ConfigError, NumericalAbort
-from .net import NetworkConfig, init_params, set_blas_threads
+from .net import NetworkConfig, init_params, save_checkpoint, set_blas_threads
 from .sampler import spatial_cloud
 from .trainer import (RngSet, TrainConfig, build_problem, ensure_reference, evaluate,
                       plan_step, run_training, step_baseline, step_sdifp)
@@ -29,50 +30,58 @@ SWEEP_HEADER = "axis,value,error_c1,error_c2,tape_nodes,status"
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-_BOOL_FIELDS = {f.name for f in dataclasses.fields(TrainConfig) if f.type == "bool"}
-_INT_FIELDS = {f.name for f in dataclasses.fields(TrainConfig) if f.type == "int"}
-_FLOAT_FIELDS = {f.name for f in dataclasses.fields(TrainConfig) if f.type == "float"}
-_STR_FIELDS = {f.name for f in dataclasses.fields(TrainConfig) if f.type == "str"}
-_ALL_FIELDS = _BOOL_FIELDS | _INT_FIELDS | _FLOAT_FIELDS | _STR_FIELDS
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+# the TrainConfig count each sweep axis sets (subset_size sets size_j to the same value)
+SWEEP_AXES = {"dimension": "dim", "batch": "batch_n", "cloud_size": "cloud_m",
+              "subset_size": "size_i"}
 
 
-def _coerce(key, raw):
-    if key in _BOOL_FIELDS:
-        if str(raw).lower() in ("1", "true", "yes", "on"):
+def _coerce(key, text):
+    """The one parser from text to a TrainConfig value: flags, config files and
+    sweep values all go through it.  Malformed text is a ConfigError."""
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key {key!r}")
+    if kind == "str":
+        return text
+    if kind == "bool":
+        if text.lower() in ("1", "true", "yes", "on"):
             return True
-        if str(raw).lower() in ("0", "false", "no", "off"):
+        if text.lower() in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"boolean expected for {key}, got {raw!r}")
-    if key in _INT_FIELDS:
-        return int(raw)
-    if key in _FLOAT_FIELDS:
-        return float(raw)
-    return str(raw)
+    else:
+        try:
+            return int(text) if kind == "int" else float(text)
+        except ValueError:
+            pass
+    raise ConfigError(f"{kind} expected for {key}, got {text!r}")
 
 
 def load_config_file(path) -> dict:
-    """Sectioned key=value file; unknown keys are rejected."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    out = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            if key not in _ALL_FIELDS:
-                raise ConfigError(f"unknown config key {key!r} in [{section}]")
-            out[key] = _coerce(key, raw)
-    return out
+    """key = value lines, in sections or in none (as write_resolved_config
+    writes them); an unreadable file, an unknown key or a malformed value is
+    a ConfigError.  A repeated key takes its last value, as a repeated flag does."""
+    parser = configparser.ConfigParser(strict=False)
+    try:
+        with open(path) as fh:
+            # lines before any section header go to the default section
+            parser.read_string(f"[{parser.default_section}]\n" + fh.read(), source=str(path))
+        sections = [parser.default_section] + parser.sections()
+        return {key: _coerce(key, text) for s in sections for key, text in parser.items(s)}
+    except configparser.ParsingError as exc:
+        # the parser counted the header line added above
+        bad = "; ".join(f"line {n - 1}: {line}" for n, line in exc.errors)
+        raise ConfigError(f"cannot read config file {path}: not key = value at {bad}") from None
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
 
 
 def build_train_config(args) -> TrainConfig:
-    values = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for key in _ALL_FIELDS:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            values[key] = cli_val
+    values = load_config_file(args.config) if args.config else {}
+    for key in _FIELD_TYPES:
+        text = getattr(args, key)
+        if text is not None:
+            values[key] = _coerce(key, text)
     cfg = TrainConfig(**values)
     cfg.validate()
     return cfg
@@ -113,7 +122,6 @@ def cmd_train(args) -> int:
     result = run_training(cfg, cache_dir=cache,
                           log=(lambda msg: print(msg, file=sys.stderr)))
     write_metrics_csv(os.path.join(base, "metrics.csv"), result.metrics)
-    from .net import save_checkpoint
     save_checkpoint(os.path.join(base, "checkpoint.bin"), result.params)
     with open(os.path.join(base, "affine_table.csv"), "w") as fh:
         fh.write("t,alpha,beta\n")
@@ -164,25 +172,24 @@ def _sweep_setup(c: TrainConfig):
     return problem, problem.domain_averaged_targets(), cloud.points, params, RngSet(c.seed)
 
 
-def _sweep_one(axis, raw, cfg: TrainConfig):
+def _sweep_one(axis, v, cfg: TrainConfig):
     """One sweep row; refused or aborted values carry the reason in the status column."""
-    v = int(raw) if float(raw).is_integer() else float(raw)
     status = "ok"
     e1 = e2 = float("nan")
     nodes = 0
+    c = dataclasses.replace(cfg, **{SWEEP_AXES[axis]: v})
     try:
         if axis == "dimension":
-            c = dataclasses.replace(cfg, dim=int(v), epochs=max(1, cfg.epochs),
-                                    eval_every=max(1, cfg.epochs))
-            r = run_training(c, reference=None)
+            r = run_training(dataclasses.replace(c, eval_every=c.epochs), reference=None)
             last = r.metrics[-1]
             e1, e2, nodes = last.error_c1, last.error_c2, r.max_tape_nodes
-        elif axis in ("batch", "subset_size"):
-            if axis == "batch":
-                c = dataclasses.replace(cfg, batch_n=int(v))
-            else:
-                c = dataclasses.replace(cfg, size_i=int(v), size_j=int(v),
-                                        estimator="ds_uge")
+        elif axis == "cloud_size":
+            problem, targets, cloud, params, rngs = _sweep_setup(c)
+            rec = evaluate(params, problem, c, targets, cloud, rngs)
+            e1, e2 = rec.error_c1, rec.error_c2
+        else:
+            if axis == "subset_size":
+                c = dataclasses.replace(c, size_j=v, estimator="ds_uge")
             problem, targets, cloud, params, rngs = _sweep_setup(c)
             plan = plan_step(problem, c, rngs)
             if c.method == "sdifp":
@@ -190,13 +197,6 @@ def _sweep_one(axis, raw, cfg: TrainConfig):
             else:
                 _, diag = step_baseline(params, problem, c, plan, targets=targets)
             nodes = diag.tape_nodes
-        elif axis == "cloud_size":
-            c = dataclasses.replace(cfg, cloud_m=int(v))
-            problem, targets, cloud, params, rngs = _sweep_setup(c)
-            rec = evaluate(params, problem, c, targets, cloud, rngs)
-            e1, e2 = rec.error_c1, rec.error_c2
-        else:
-            raise ConfigError(f"unknown sweep axis {axis}")
     except ConfigError as exc:
         status = f"refused: {exc}"
     except NumericalAbort as exc:
@@ -205,10 +205,9 @@ def _sweep_one(axis, raw, cfg: TrainConfig):
 
 
 def _sweep_rows(args, cfg: TrainConfig, values):
-    workers = getattr(args, "parallel", 1) or 1
-    if workers > 1:
+    if args.parallel > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
             return list(pool.map(_sweep_one, [args.axis] * len(values), values,
                                  [cfg] * len(values)))
     return [_sweep_one(args.axis, v, cfg) for v in values]
@@ -216,9 +215,9 @@ def _sweep_rows(args, cfg: TrainConfig, values):
 
 def cmd_sweep(args) -> int:
     cfg = build_train_config(args)
+    values = [_coerce(SWEEP_AXES[args.axis], v) for v in args.values.split(",")]
     base = out_dir(args)
     write_resolved_config(os.path.join(base, "config.resolved"), cfg)
-    values = [float(v) for v in args.values.split(",")]
     rows = _sweep_rows(args, cfg, values)
     path = os.path.join(base, f"sweep_{args.axis}.csv")
     with open(path, "w") as fh:
@@ -236,19 +235,11 @@ def make_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--config", default=None, help="sectioned key=value file")
+        sp.add_argument("--config", default=None,
+                        help="key = value file, sectioned or a run's config.resolved")
         sp.add_argument("--out", default=None, help="output directory")
-        for f in dataclasses.fields(TrainConfig):
-            flag = "--" + f.name.replace("_", "-")
-            if f.name in _BOOL_FIELDS:
-                sp.add_argument(flag, default=None, type=lambda s: _coerce(f.name, s),
-                                metavar="BOOL")
-            elif f.name in _INT_FIELDS:
-                sp.add_argument(flag, default=None, type=int)
-            elif f.name in _FLOAT_FIELDS:
-                sp.add_argument(flag, default=None, type=float)
-            else:
-                sp.add_argument(flag, default=None)
+        for name, kind in _FIELD_TYPES.items():
+            sp.add_argument("--" + name.replace("_", "-"), metavar=kind.upper())
 
     sp_train = sub.add_parser("train", help="run one training experiment")
     add_common(sp_train)
@@ -259,9 +250,8 @@ def make_parser():
 
     sp_sweep = sub.add_parser("sweep", help="sweep one axis and emit CSV")
     add_common(sp_sweep)
-    sp_sweep.add_argument("--axis", required=True,
-                          choices=("dimension", "batch", "cloud_size", "subset_size"))
-    sp_sweep.add_argument("--values", required=True, help="comma-separated values")
+    sp_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
+    sp_sweep.add_argument("--values", required=True, help="comma-separated integers")
     sp_sweep.add_argument("--parallel", type=int, default=1,
                           help="independent worker processes for the sweep")
     sp_sweep.set_defaults(fn=cmd_sweep)

@@ -7,8 +7,7 @@ coefficient that is structurally zero and lets the recurrence skip work.
 
 The network's jets are its layer products (linear in the coefficients) and
 tanh, which is propagated through its own ODE recurrence (y' = (1 - y^2) x'),
-so no symbolic differentiation is needed anywhere.  A projected field's jet is
-the affine image ``scale_shift`` of its raw jet.
+so no symbolic differentiation is needed anywhere.
 """
 
 from __future__ import annotations
@@ -31,12 +30,6 @@ def _tanh(x):
 def _tanh_slope(y):
     """1 - y^2 for y = tanh(x); on a tape, one node sharing the tanh partial."""
     return y.tape.tanh_slope(y) if isinstance(y, Var) else 1.0 - y * y
-
-
-def _read(x):
-    """x, or what x gives when it is a function of no arguments: a value that
-    is recorded only once something reads it."""
-    return x() if callable(x) else x
 
 
 def _add(a, b):
@@ -89,12 +82,6 @@ class Jet:
         """All coefficients, orders 0..order."""
         self.coeff(0)
         return self._coeffs
-
-    def scale_shift(self, scale, shift):
-        """Affine image of the jet: coefficient 0, formed on its first read,
-        gains the shift, which may be a function of no arguments read then."""
-        out = [None] + [None if c is None else c * scale for c in self._coeffs[1:]]
-        return Jet(out, lambda: _add(_mul(self.coeff(0), scale), _read(shift)))
 
 
 def tanh_series(x, y0, w0, top=None):

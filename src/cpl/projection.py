@@ -18,7 +18,7 @@ import numpy as np
 from . import net as netmod
 from .autodiff import Tape
 from .errors import IllPosedTargets, NumericalAbort
-from .jets import Jet, _read
+from .jets import Jet
 
 EPS_FLOOR = 1e-8  # variance relaxation floor used in the roots and the Jacobians
 
@@ -214,7 +214,12 @@ class AffineField:
         self.beta = beta
 
     def value(self):
-        return self.alpha * self.base.value() + _read(self.beta)
+        beta = self.beta() if callable(self.beta) else self.beta
+        return self.alpha * self.base.value() + beta
 
     def jet(self, coord, order) -> Jet:
-        return self.base.jet(coord, order).scale_shift(self.alpha, self.beta)
+        """alpha times each raw derivative coefficient; coefficient 0 is the
+        projected value, formed on its first read."""
+        raw = self.base.jet(coord, order)
+        derivs = [raw.coeff(k) for k in range(1, order + 1)]
+        return Jet([None] + [None if c is None else c * self.alpha for c in derivs], self.value)

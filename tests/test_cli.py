@@ -69,6 +69,38 @@ def test_unknown_config_key_rejected(tmp_path):
     assert main(["train", "--config", str(cfg)]) == 2
 
 
+def test_resolved_config_reproduces_its_run(tmp_path):
+    assert _run_train(tmp_path / "run") == 0
+    assert main(["train", "--config", str(tmp_path / "run" / "config.resolved"),
+                 "--out", str(tmp_path / "again")]) == 0
+    for name in ("config.resolved", "metrics.csv", "affine_table.csv", "checkpoint.bin"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
+TINY_SWEEP = ["sweep", "--axis", "batch", "--problem", "advection1d", "--method", "sdifp",
+              "--cloud-m", "128", "--n-time-slices", "2", "--width", "6",
+              "--hidden-layers", "2", "--n-ic", "4", "--n-bc", "4", "--ref-nx", "128"]
+
+
+@pytest.mark.parametrize("config,args", [
+    ("[train]\nepochs = abc\n", ["train"]),
+    ("[train]\nepochs 3\n", ["train"]),
+    (None, TINY_SWEEP + ["--values", "4,abc"]),
+    (None, TINY_SWEEP + ["--values", "1.5"]),
+    (None, TINY_SWEEP + ["--values", "inf"]),
+    (None, ["train", "--epochs", "abc"]),
+], ids=["file-value", "file-syntax", "sweep-word", "sweep-fraction", "sweep-inf", "flag-value"])
+def test_malformed_setting_exits_2_and_writes_nothing(tmp_path, capsys, config, args):
+    out = tmp_path / "out"
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args = args + ["--config", str(tmp_path / "run.cfg")]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert list(out.rglob("*")) == []
+
+
 @pytest.mark.parametrize("flags", [
     ["--method", "warp"],
     ["--eval-every", "0"],

@@ -30,7 +30,7 @@ from cpl import jets, net, trainer
 from cpl.autodiff import Tape, Var
 from cpl.jets import Jet, jet_tanh
 from cpl.net import TIME, ArrayNet, NetField, NetworkConfig, TapeNet, init_params
-from cpl.projection import TargetInvariants
+from cpl.projection import AffineField, TargetInvariants
 from cpl.sampler import spatial_cloud
 from cpl.trainer import RngSet, TrainConfig, build_problem, plan_step, step_baseline, step_sdifp
 
@@ -70,24 +70,24 @@ def two_node_layers():
         yield
 
 
-def _eager_scale_shift(self, scale, shift):
-    out = [None if c is None else c * scale for c in self.coeffs]
-    out[0] = jets._add(out[0], jets._read(shift))
-    return Jet(out)
-
-
 @contextlib.contextmanager
 def eager_values():
     """Record a field's head on its first jet and a projected jet's
     coefficient 0 with the jet."""
     lazy_jet = NetField.jet
+    lazy_projected_jet = AffineField.jet
 
     def eager_jet(self, coord, order):
         self.value()
         return lazy_jet(self, coord, order)
 
+    def eager_projected_jet(self, coord, order):
+        jet = lazy_projected_jet(self, coord, order)
+        jet.coeff(0)
+        return jet
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Jet, "scale_shift", _eager_scale_shift)
+        mp.setattr(AffineField, "jet", eager_projected_jet)
         mp.setattr(NetField, "jet", eager_jet)
         yield
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cpl.autodiff import Tape, finite_diff_gradient
 from cpl.errors import IllPosedTargets, NumericalAbort
 from cpl.net import ArrayNet, MLPParams, NetworkConfig, forward_array, init_params
-from cpl.jets import Jet
 from cpl.projection import (EPS_FLOOR, AffineField, AffineParams, MomentEstimate,
                             TargetInvariants, estimate_moments,
                             fixed_set_shift, moment_grad_estimates, moments_at_times,
@@ -232,9 +231,12 @@ class TestApplyProjection:
 
     def test_jet(self):
         # only the order-0 coefficient takes the shift
-        jet = Jet([np.float64(1.0), np.float64(0.5), np.float64(0.2)])
-        out = jet.scale_shift(2.0, 1.0)
-        got = [float(c) for c in out.coeffs]
+        from cpl.pde import AnalyticField
+        base = AnalyticField(lambda X, t: np.full(X.shape[0], 1.0),
+                             lambda X, t, coord, k: np.full(X.shape[0], (0.5, 0.4)[k - 1]),
+                             np.zeros((1, 1)), 0.0)
+        out = AffineField(base, 2.0, 1.0).jet(0, 2)
+        got = [float(c[0]) for c in out.coeffs]
         assert got == pytest.approx([3.0, 1.0, 0.4], abs=1e-15)
 
     def test_neumann_scaling_of_derivatives(self):

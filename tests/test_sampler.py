@@ -12,8 +12,9 @@ from cpl.sampler import (_SOBOL_BITS, Domain, SeededRng, _direction_integers,
 def test_sobol_matches_reference_generator(d, skip):
     m = 256
     mine = sobol_points(m, d, skip=skip).points
-    ref = qmc.Sobol(d=d, scramble=False)
-    ref_pts = ref.random(m + skip + 1)[skip + 1:]
+    # a power-of-two prefix of the unscrambled sequence, as scipy asks for
+    ref = qmc.Sobol(d=d, scramble=False).random_base2((m + skip).bit_length())
+    ref_pts = ref[skip + 1:skip + 1 + m]
     assert np.max(np.abs(mine - ref_pts)) <= 2.0 ** -30
 
 
