@@ -22,7 +22,7 @@ from .autodiff import Tape, finite_diff_derivatives, finite_diff_gradient, jet_t
 from .baselines import proj_combined, proj_linear, proj_quadratic
 from .jets import Jet, jet_tanh
 from .net import (TIME, ArrayNet, MLPParams, NetField, NetworkConfig, TapeNet, forward_array,
-                  init_params)
+                  forward_segments, init_params)
 from .projection import (MomentEstimate, TargetInvariants, estimate_moments,
                          moment_grad_estimates, projected_grad, projection_jacobians,
                          same_batch_shift, solve_affine)
@@ -232,6 +232,31 @@ def check_net_third_derivative():
         exact = v * w ** 3 * tanh3
         worst = max(worst, abs(d3 - exact) / max(1e-9, abs(exact)))
     return CheckResult("net/analytic-third-derivative", worst <= 1e-9, worst, 1e-9)
+
+
+def check_segments_bitwise():
+    """One block queue over many segments gives each the bits of a call of its
+    own: arrays, (points, t) pairs and fused (points, times) segments, of
+    sizes below and above the split threshold, in one call, at widths 64 and
+    128 with nonzero biases, at the process's BLAS thread count."""
+    sizes = (127, 150, 1000, 1808, 10_000)
+    times = np.array([0.1, 0.35, 0.9])
+    rng = SeededRng(5, 9)
+    mismatches = 0
+    for width in (64, 128):
+        p = init_params(NetworkConfig(in_dim=2, width=width, seed=width))
+        for _, b in p.layers():
+            b[...] = rng.uniform(b.shape) - 0.5
+        pts = rng.uniform((max(sizes), 1)) * 2.0
+        segments, stacked = [], []
+        for k, m in enumerate(sizes):
+            at = [np.concatenate([pts[:m], np.full((m, 1), t)], axis=1) for t in times]
+            segments += [at[k % 3], (pts[:m], times[k % 3]), (pts[:m], times)]
+            stacked += [at[k % 3], at[k % 3], np.concatenate(at)]
+        outs = forward_segments(p, segments)
+        mismatches += sum(not np.array_equal(u, forward_array(p, X))
+                          for u, X in zip(outs, stacked))
+    return CheckResult("detached/segments-bitwise", mismatches == 0, mismatches, 0)
 
 
 def check_affine_roots():
@@ -602,6 +627,7 @@ ALL_CHECKS = [
     check_subset_independence,
     check_net_basics,
     check_net_third_derivative,
+    check_segments_bitwise,
     check_affine_roots,
     check_jacobians_fd,
     check_variance_floor,

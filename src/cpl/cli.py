@@ -205,9 +205,12 @@ def _sweep_one(axis, v, cfg: TrainConfig):
 
 
 def _sweep_rows(args, cfg: TrainConfig, values):
-    if args.parallel > 1:
+    # a pool starts all its workers at its first task, so start no more
+    # than there are values
+    workers = min(args.parallel, len(values))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_one, [args.axis] * len(values), values,
                                  [cfg] * len(values)))
     return [_sweep_one(args.axis, v, cfg) for v in values]
@@ -216,6 +219,8 @@ def _sweep_rows(args, cfg: TrainConfig, values):
 def cmd_sweep(args) -> int:
     cfg = build_train_config(args)
     values = [_coerce(SWEEP_AXES[args.axis], v) for v in args.values.split(",")]
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
     base = out_dir(args)
     write_resolved_config(os.path.join(base, "config.resolved"), cfg)
     rows = _sweep_rows(args, cfg, values)

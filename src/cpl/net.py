@@ -92,6 +92,7 @@ def init_params(config: NetworkConfig) -> MLPParams:
 def _check_inputs(X):
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite network input")
+    return X
 
 
 _FORWARD_CHUNK = 8192     # the output is bitwise that of one BLAS call per chunk
@@ -173,18 +174,53 @@ def _forward_block(layers, X, bufs, out, lo, hi):
     out[lo:hi] += b_head[0]
 
 
-def _run_blocks(layers, X, bufs, out, queue):
+class _Filled:
+    """The rows (points[r % m], times[r // m]) of a segment, never stacked.
+
+    Each block writes its own rows into its thread's input buffer, with the
+    same values and layout as the rows of the stacked array, so it gets the
+    same bits.  A block may span two or more times.
+    """
+
+    def __init__(self, points, times):
+        self.points = points
+        self.times = np.asarray(times, dtype=np.float64).reshape(-1)
+        _check_inputs(points)
+        _check_inputs(self.times)
+
+    def __len__(self):
+        return self.points.shape[0] * self.times.size
+
+    def fill(self, buf, lo, hi):
+        """Rows lo:hi into buf[:hi - lo], which is returned."""
+        m, d = self.points.shape
+        r = lo
+        while r < hi:
+            i, j = divmod(r, m)
+            e = min(hi, r - j + m)
+            buf[r - lo:e - lo, :d] = self.points[j:j + e - r]
+            buf[r - lo:e - lo, d] = self.times[i]
+            r = e
+        return buf[:hi - lo]
+
+
+def _run_blocks(layers, bufs, rows, queue):
     """Blocks from the shared queue, one at a time, through this thread's buffers.
 
-    On a fault the queue is emptied, so no thread starts another block.
+    A block of an array reads its rows in place; a block of a filled segment
+    first writes them to `rows`, this thread's input buffer.  On a fault the
+    queue is emptied, so no thread starts another block.
     """
     while True:
         try:
-            lo, hi = queue.popleft()
+            src, out, lo, hi = queue.popleft()
         except IndexError:
             return
         try:
-            _forward_block(layers, X, bufs, out, lo, hi)
+            if isinstance(src, _Filled):
+                _forward_block(layers, src.fill(rows, lo, hi), bufs, out[lo:hi], 0, hi - lo)
+            else:
+                _forward_block(layers, src, bufs, out, lo, hi)
         except BaseException:
             queue.clear()
             raise
@@ -216,48 +252,70 @@ def _block_plan(n, block, split):
     return blocks
 
 
-def forward_array(params: MLPParams, X: np.ndarray) -> np.ndarray:
-    """Plain value evaluation over a batch X (B, in_dim); touches no tape.
+def _plan(sources, outs, block, split):
+    """The queue of every block (source, out, lo, hi) of every segment,
+    largest first.  Each segment is planned as _block_plan plans a call of
+    its own, so its bits do not depend on what else is in the queue."""
+    blocks = [(src, out, lo, hi) for src, out in zip(sources, outs)
+              for lo, hi in _block_plan(len(src), block, split)]
+    return deque(sorted(blocks, key=lambda c: c[2] - c[3]))
 
-    This is the detached-quadrature hot path.  The rows are cut into chunks of
-    _FORWARD_CHUNK.  With a single-threaded BLAS each chunk of at least
-    _SPLIT_MIN rows is split near its middle at a multiple of 4, and each
-    half, or unsplit chunk, is cut into blocks of _BLOCK_BYTES of
-    activations, a multiple of 16 rows and at least _BLOCK_MIN, so a layer's
-    input and output stay in the L2 cache.  The halves fix the block
-    boundaries, not who runs a block: the caller and one helper thread take
-    the blocks of the whole call, largest first, from one shared queue, so
-    they join once per call.  A call under _SPLIT_MIN rows runs on the
-    caller alone.  The caller allocates every activation buffer, two per
-    thread of the longest block, and the bias tiles, so the working memory
-    does not grow with X.  A multi-threaded BLAS cuts each call among its
-    threads at rows that depend on the call's size, so there each chunk stays
-    one call on the caller, in two buffers of its rows.  The output is
-    bitwise the same as a serial pass over the same chunks.
+
+def forward_segments(params: MLPParams, segments) -> list:
+    """Plain value evaluation of several segments of rows; touches no tape.
+
+    This is the detached-quadrature hot path.  A segment is an array X
+    (n, in_dim) or a pair (points, times), which stands for the rows
+    (points[r % m], times[r // m]) of m points at each time; its blocks fill
+    their rows themselves, so no stacked input is built.  The result is one
+    output per segment, each a view of one buffer.
+
+    Each segment's rows are cut into chunks of _FORWARD_CHUNK.  With a
+    single-threaded BLAS each chunk of at least _SPLIT_MIN rows is split near
+    its middle at a multiple of 4, and each half, or unsplit chunk, is cut
+    into blocks of _BLOCK_BYTES of activations, a multiple of 16 rows and at
+    least _BLOCK_MIN, so a layer's input and output stay in the L2 cache.
+    The halves fix the block boundaries, not who runs a block: the caller and
+    one helper thread take the blocks of all segments, largest first, from
+    one shared queue, so they join once per call.  A call under _SPLIT_MIN
+    rows in all runs on the caller alone.  The caller allocates every
+    activation buffer, two per thread of the longest block, an input buffer
+    per thread when a segment is filled, and the bias tiles, so the working
+    memory does not grow with the rows.  A multi-threaded BLAS cuts each call
+    among its threads at rows that depend on the call's size, so there each
+    chunk stays one call on the caller, in two buffers of its rows.  Each
+    segment's output is bitwise that of a serial pass over its own chunks.
     """
-    _check_inputs(X)
-    n = X.shape[0]
+    sources = [_Filled(*seg) if isinstance(seg, tuple) else _check_inputs(seg)
+               for seg in segments]
     *hidden, head = params.layers()
     width = head[0].shape[1]
     split = blas_threads() == 1
     block = max(_BLOCK_MIN, _BLOCK_BYTES // (8 * width) // 16 * 16) if split else _FORWARD_CHUNK
-    blocks = _block_plan(n, block, split)
-    helped = split and n >= _SPLIT_MIN
+    out = np.empty(sum(len(src) for src in sources))
+    outs, off = [], 0
+    for src in sources:
+        outs.append(out[off:off + len(src)])
+        off += len(src)
+    queue = _plan(sources, outs, block, split)
+    helped = split and out.size >= _SPLIT_MIN
+    threads = 2 if helped else 1
+    longest = max((hi - lo for _, _, lo, hi in queue), default=0)
     # all from this thread's heap: a buffer the helper allocated would come
     # from a second glibc arena and hold pages of its own
-    bufs = np.empty((4 if helped else 2, max((hi - lo for lo, hi in blocks), default=0), width))
+    bufs = np.empty((2 * threads, longest, width))
+    rows = (np.empty((threads, longest, params.config.in_dim))
+            if any(isinstance(src, _Filled) for src in sources) else (None, None))
     # each bias repeated over 8192 elements or more, numpy's ufunc buffer
     # size: an add over whole tiles then runs in contiguous loops without one
     tile_rows = -(-8192 // width)
     layers = [(W, np.tile(b, (tile_rows, 1))) for W, b in hidden] + [head]
-    out = np.empty(n)
-    queue = deque(sorted(blocks, key=lambda c: c[0] - c[1]))
     if not helped:
-        _run_blocks(layers, X, bufs, out, queue)
-        return out
-    fut = _helper_pool().submit(_run_blocks, layers, X, bufs[2:], out, queue)
+        _run_blocks(layers, bufs, rows[0], queue)
+        return outs
+    fut = _helper_pool().submit(_run_blocks, layers, bufs[2:], rows[1], queue)
     try:
-        _run_blocks(layers, X, bufs, out, queue)
+        _run_blocks(layers, bufs, rows[0], queue)
     finally:
         # a helper task that has not started never will; one that has is
         # waited for, so it never runs past this call
@@ -265,7 +323,13 @@ def forward_array(params: MLPParams, X: np.ndarray) -> np.ndarray:
             wait((fut,))
     if not fut.cancelled():
         fut.result()
-    return out
+    return outs
+
+
+def forward_array(params: MLPParams, X: np.ndarray) -> np.ndarray:
+    """Plain value evaluation over a batch X (B, in_dim): the one-segment
+    case of forward_segments, with every block read from X in place."""
+    return forward_segments(params, [X])[0]
 
 
 class TapeNet:

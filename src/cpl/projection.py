@@ -90,20 +90,26 @@ def estimate_moments(params, cloud_points: np.ndarray, t: float) -> MomentEstima
 
 
 def moments_at_times(params, cloud_points: np.ndarray, times) -> list:
-    """Moments at several time slices with one fused forward pass."""
+    """Moments at several time slices with one fused forward pass.
+
+    The rows of all times form one segment, planned as one call over
+    len(times) * m rows, whose blocks fill their own rows.
+    """
     times = np.asarray(times, dtype=np.float64)
-    m = cloud_points.shape[0]
-    if m < 2:
+    if cloud_points.shape[0] < 2:
         raise ValueError("moment estimation needs at least two points")
-    blocks = [np.concatenate([cloud_points, np.full((m, 1), float(t))], axis=1)
-              for t in times]
-    u = netmod.forward_array(params, np.concatenate(blocks, axis=0)).reshape(len(times), m)
+    u, = netmod.forward_segments(params, [(cloud_points, times)])
+    return moments_of(u, times)
+
+
+def moments_of(u: np.ndarray, times) -> list:
+    """The moments at each time of raw values u, laid out time-major."""
     out = []
     # a diverged field's moments overflow silently: solve_affine reports them
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(times):
-            out.append(MomentEstimate(mu1=float(u[i].mean()), mu2=float((u[i] * u[i]).mean()),
-                                      m=m, t=float(t)))
+        for u_t, t in zip(u.reshape(len(times), -1), times):
+            out.append(MomentEstimate(mu1=float(u_t.mean()), mu2=float((u_t * u_t).mean()),
+                                      m=u_t.size, t=float(t)))
     return out
 
 

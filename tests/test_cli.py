@@ -89,7 +89,10 @@ TINY_SWEEP = ["sweep", "--axis", "batch", "--problem", "advection1d", "--method"
     (None, TINY_SWEEP + ["--values", "1.5"]),
     (None, TINY_SWEEP + ["--values", "inf"]),
     (None, ["train", "--epochs", "abc"]),
-], ids=["file-value", "file-syntax", "sweep-word", "sweep-fraction", "sweep-inf", "flag-value"])
+    (None, TINY_SWEEP + ["--values", "4", "--parallel", "0"]),
+    (None, TINY_SWEEP + ["--values", "4", "--parallel", "-3"]),
+], ids=["file-value", "file-syntax", "sweep-word", "sweep-fraction", "sweep-inf", "flag-value",
+        "sweep-parallel-0", "sweep-parallel-negative"])
 def test_malformed_setting_exits_2_and_writes_nothing(tmp_path, capsys, config, args):
     out = tmp_path / "out"
     if config is not None:
@@ -190,6 +193,36 @@ def test_sweep_parallel_matches_serial(tmp_path):
     serial = (tmp_path / "serial" / "sweep_batch.csv").read_bytes()
     assert (tmp_path / "pool" / "sweep_batch.csv").read_bytes() == serial
     assert serial.count(b'"ok"') == 2
+
+
+@pytest.mark.parametrize("parallel,values,workers", [(64, "8,16", 2), (2, "8,16,24", 2),
+                                                     (8, "8", None), (1, "8,16", None)])
+def test_sweep_starts_at_most_one_worker_per_value(tmp_path, monkeypatch, parallel, values,
+                                                   workers):
+    """A stub executor records the pool size it is asked for and runs the
+    rows in this process; one value or --parallel 1 starts no pool."""
+    import concurrent.futures
+    asked = []
+
+    class StubExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
+    args = TINY_SWEEP + ["--values", values, "--parallel", str(parallel)]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert asked == ([] if workers is None else [workers])
+    rows = (tmp_path / "sweep_batch.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(values.split(",")) and all(r.endswith('"ok"') for r in rows)
 
 
 def test_sweep_dimension_refuses_above_cap(tmp_path):

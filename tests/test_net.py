@@ -9,7 +9,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from cpl import net
+from cpl import checks, net
 from cpl.autodiff import Tape, Var, finite_diff_gradient
 from cpl.errors import ConfigError
 from cpl.jets import Jet, jet_tanh
@@ -554,3 +554,82 @@ def test_forward_array_concurrent_callers_share_the_helper(blas_threads):
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_forward_segments_bitwise_equal_per_segment_calls(blas_threads, threads):
+    """checks.check_segments_bitwise, the `cpl verify` invariant, at one BLAS
+    thread (blocks shared by two threads) and at two (one call per chunk)."""
+    blas_threads(threads)
+    res = checks.check_segments_bitwise()
+    assert res.ok, f"{res.observed} segments differ from their own calls"
+
+
+def _stacked(points, times):
+    return np.concatenate([np.concatenate([points, np.full((len(points), 1), t)], axis=1)
+                           for t in np.atleast_1d(times)])
+
+
+@pytest.mark.parametrize("width", [64, 128])
+def test_forward_segments_bits_do_not_depend_on_the_schedule(blas_threads, monkeypatch, width):
+    """A multi-segment call, arrays and filled segments mixed, and a fused
+    filled call whose blocks span two times: the same bits whether the caller
+    runs every block, the helper's buffers run every block, or both share."""
+    blas_threads(1)
+    p = _random_params(2, width, width)
+    rng = np.random.default_rng(width + 1)
+    X = rng.random((1808, 2)) * 2.0 - 0.5
+    pts = rng.random((10_000, 1)) * 2.0
+    fused = (pts[:1808], np.linspace(0.0, 1.0, 5))
+    calls = {"multi-segment": [X, (pts[:848], 0.3), (pts, 0.7), fused, X[:150]],
+             "fused": [fused]}
+    pools = {"shared": net._helper_pool, "caller only": lambda: _StubPool(False),
+             "helper only": lambda: _StubPool(True)}
+    for call, segments in calls.items():
+        expected = [_serial_forward(p, s if isinstance(s, np.ndarray) else _stacked(*s))
+                    for s in segments]
+        for schedule, pool in pools.items():
+            monkeypatch.setattr(net, "_helper_pool", pool)
+            got = net.forward_segments(p, segments)
+            assert len(got) == len(expected)
+            for k, (g, e) in enumerate(zip(got, expected)):
+                assert np.array_equal(g, e), (call, schedule, k)
+
+
+@pytest.mark.parametrize("faulty_half", ["caller", "helper"])
+def test_forward_segments_error_in_either_thread_stops_the_queue(blas_threads, monkeypatch,
+                                                                 faulty_half):
+    """The fault rule over one queue of three segments, two of them filled:
+    the faulty thread fails its first block while the other is inside one;
+    no thread starts another block of any segment, and the error propagates
+    only after the helper has finished the block it was running."""
+    blas_threads(1)
+    real = net._forward_block
+    caller = threading.get_ident()
+    healthy_inside, faulting = threading.Event(), threading.Event()
+    started, finished = [], []
+
+    def rows(layers, X, bufs, out, lo, hi):
+        on_helper = threading.get_ident() != caller
+        started.append(on_helper)
+        if on_helper == (faulty_half == "helper"):
+            assert healthy_inside.wait(timeout=10)
+            faulting.set()
+            raise RuntimeError("fault in one thread")
+        healthy_inside.set()
+        assert faulting.wait(timeout=10)
+        time.sleep(0.05)                # the fault reaches the queue meanwhile
+        real(layers, X, bufs, out, lo, hi)
+        finished.append(on_helper)
+
+    monkeypatch.setattr(net, "_forward_block", rows)
+    p = init_params(NetworkConfig(in_dim=2, width=16, seed=1))
+    rng = np.random.default_rng(7)
+    pts = rng.random((8192, 1))
+    # six blocks of 4096 rows: two per segment
+    segments = [rng.random((8192, 2)), (pts, 0.5), (pts[:4096], [0.1, 0.2])]
+    with pytest.raises(RuntimeError, match="fault in one thread"):
+        net.forward_segments(p, segments)
+    assert sorted(started) == [False, True]
+    assert finished == [faulty_half == "caller"]
+    assert net._helper_pool().submit(len, finished).result(timeout=10) == 1

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -358,6 +359,88 @@ class TestEvaluate:
         scale = 1 + abs(prob.invariant_targets(0.2)[0])
         assert rec.error_c1 <= 5e-3 * scale
         assert rec.error_c2 <= 5e-3 * scale
+
+
+def _per_time_evaluate(params, problem, cfg, targets, smc_points, rngs, reference,
+                       n_time_grid):
+    """evaluate() as one forward call per segment: the reference for the
+    grouped queues.  The projected method solves each time with its own
+    estimate_moments call, once per distinct time."""
+    from cpl.net import forward_array
+    from cpl.projection import estimate_moments, solve_affine
+    from cpl.trainer import projection_provider
+    if cfg.method == "sdifp":
+        @functools.cache
+        def provide(t):
+            af = solve_affine(estimate_moments(params, smc_points, t), targets)
+            return af.alpha, af.beta
+    else:
+        provide = projection_provider(params, problem, cfg, targets, rngs)
+
+    def forward(points, t):
+        return forward_array(params, np.concatenate(
+            [points, np.full((points.shape[0], 1), t)], axis=1))
+
+    vol = problem.domain.volume
+    holdout = spatial_cloud(cfg.eval_cloud, problem.domain, skip=cfg.holdout_skip).points
+    tgrid = np.linspace(0.0, problem.t_final, n_time_grid)
+    e1 = e2 = 0.0
+    table = []
+    for t in tgrid:
+        a, b = provide(t)
+        table.append((float(t), float(a), float(b)))
+        ut = a * forward(holdout, t) + b
+        c1, c2 = problem.invariant_targets(t)
+        e1 += abs(vol * ut.mean() - c1)
+        e2 += abs(vol * (ut * ut).mean() - c2)
+    error_u = float("nan")
+    if reference is not None:
+        times_idx = sorted(set(np.linspace(0, len(reference.ts) - 1, 9).astype(int).tolist()))
+        num = den = 0.0
+        for k in times_idx:
+            t = reference.ts[k]
+            a, b = provide(t)
+            ut = a * forward(reference.grid_points, t) + b
+            truth = reference.snaps[k].reshape(-1)
+            num += float(((ut - truth) ** 2).sum())
+            den += float((truth ** 2).sum())
+        error_u = float(np.sqrt(num / den))
+    return MetricsRecord(epoch=0, loss=0.0, error_u=error_u, error_c1=e1 / len(tgrid),
+                         error_c2=e2 / len(tgrid), tape_nodes=0, seconds=0.0,
+                         affine_table=table)
+
+
+class TestGroupedEvaluate:
+    """Grouped queues change where rows go, not one bit of the record."""
+
+    @pytest.mark.parametrize("n_time_grid", [64, 7])
+    @pytest.mark.parametrize("with_reference", [True, False])
+    @pytest.mark.parametrize("method,proj_mode", [("sdifp", "cloud"),
+                                                  ("discrete_proj", "cloud"),
+                                                  ("discrete_proj", "grid"),
+                                                  ("vanilla", "cloud")])
+    def test_bitwise_equal_per_time_loop(self, advection_ref, advection_table, method,
+                                         proj_mode, with_reference, n_time_grid):
+        prob = _prob_with_table("advection1d", advection_table)
+        targets = prob.domain_averaged_targets()
+        _, params = _params(1, width=16, seed=12)
+        params.flat[:] += np.random.default_rng(12).normal(0.0, 0.2, params.flat.shape)
+        tc = TrainConfig(problem="advection1d", method=method, proj_mode=proj_mode,
+                         proj_support=16, eval_cloud=1808, width=16, hidden_layers=2,
+                         seed=12).validate()
+        cloud = spatial_cloud(1000, prob.domain, skip=0).points
+        reference = advection_ref if with_reference else None
+        rngs, ref_rngs = RngSet(13), RngSet(13)
+        got = evaluate(params, prob, tc, targets, cloud, rngs, reference=reference,
+                       n_time_grid=n_time_grid)
+        want = _per_time_evaluate(params, prob, tc, targets, cloud, ref_rngs, reference,
+                                  n_time_grid)
+        assert got.affine_table == want.affine_table
+        assert (got.error_c1, got.error_c2) == (want.error_c1, want.error_c2)
+        assert np.array_equal(got.error_u, want.error_u, equal_nan=True)
+        assert np.isnan(got.error_u) != with_reference
+        # discrete_proj drew as many supports from rngs.eval, in the same order
+        assert rngs.eval.uniform((1,)) == ref_rngs.eval.uniform((1,))
 
 
 class TestRunTraining:
