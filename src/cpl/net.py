@@ -1,11 +1,11 @@
 """Backbone scalar network: tanh MLP over (x, t) with a linear head.
 
 Parameters live in one flat float64 vector with a per-layer shape table.
-``forward_array`` is the blocked value pass for detached quadrature and never
-touches a tape.  ``NetField`` evaluates the network on one batch: it runs the
-primal once and extends it to Taylor jets along any input coordinate, with one
-code path whether the parameters are tape leaves (``TapeNet``) or plain numpy
-arrays (``ArrayNet``).
+``forward_segments`` is the blocked value pass for detached quadrature, with
+``forward_array`` its one-array case; neither touches a tape.  ``NetField``
+evaluates the network on one batch: it runs the primal once and extends it to
+Taylor jets along any input coordinate, with one code path whether the
+parameters are tape leaves (``TapeNet``) or plain numpy arrays (``ArrayNet``).
 """
 
 from __future__ import annotations
