@@ -12,7 +12,9 @@ that holds its output and 1 - y^2, and no pre-activation; ``affine``, the
 bias-free h @ W.T of a jet coefficient; ``affine_mul``, the top-order term
 (k * (h @ W.T)) * w of a layer's jet, which keeps no pre-activation either
 and forms it again in the sweep; ``project``, the scalar head, with an
-optional bias.  Further there are reductions (``mean``, ``sum``) and
+optional bias; ``value_pass``, a whole scalar network pass whose only reader
+is its value, as one node that keeps no activation and no partial and forms
+them again in the sweep.  Further there are reductions (``mean``, ``sum``) and
 ``slope``: the 1 - y^2 of a tanh output, as one node whose value is the
 partial the tanh node already stores.  ``hold`` keeps a place on the tape for
 a node recorded later (``leaf``, ``record`` and ``project`` take it as
@@ -234,9 +236,7 @@ class Tape:
         reads only the partial.  The bits are those of an ``affine`` node with
         the bias followed by a ``tanh`` node.
         """
-        y = h.value @ W.value.T
-        y += b.value
-        np.tanh(y, out=y)
+        (y,) = _activations(h.value, [(W.value, b.value)])
         return self._push("tanh_layer", (h.idx, W.idx, b.idx), (1.0 - y * y,), y)
 
     def project(self, h, w, b0=None, at=None):
@@ -246,6 +246,21 @@ class Tape:
         if b0 is None:
             return self._push("project", (h.idx, w.idx), None, val, at)
         return self._push("project", (h.idx, w.idx, b0.idx), None, val + b0.value, at)
+
+    def value_pass(self, x, layers, w, b0):
+        """The output of a whole scalar network pass from the input x (B, in)
+        through the hidden ``layers``, (W, b) pairs, and the head w (in,),
+        scalar b0, as one node that keeps no activation and no partial.
+
+        The bits are those of a ``tanh_layer`` node per layer and a
+        ``project`` node.  The sweep forms the activations again with the
+        same calls and sends each parameter the adjoint those nodes' sweep
+        would, from the head down to the first layer; x is data and gets no
+        adjoint.
+        """
+        h = _activations(x.value, [(W.value, b.value) for W, b in layers])[-1]
+        parents = (x.idx, *(v.idx for pair in layers for v in pair), w.idx, b0.idx)
+        return self._push("value_pass", parents, None, h @ w.value + b0.value)
 
     def mean(self, x):
         val = np.asarray(x.value.mean(), dtype=np.float64)
@@ -319,6 +334,19 @@ class Tape:
                 _acc(adj, par[1], h.T @ a)
                 if len(par) == 3:
                     _acc(adj, par[2], np.asarray(a.sum()))
+            elif op == "value_pass":
+                x, *pv = (values[p] for p in par)
+                hs = [x] + _activations(x, list(zip(pv[:-2:2], pv[1:-2:2])))
+                _acc(adj, par[-2], hs[-1].T @ a)
+                _acc(adj, par[-1], np.asarray(a.sum()))
+                a = a[:, None] * pv[-2][None, :]
+                for k in range(len(hs) - 1, 0, -1):  # layer k: W at par[2k - 1]
+                    y = hs.pop()
+                    a = a * (1.0 - y * y)
+                    _acc(adj, par[2 * k - 1], a.T @ hs[-1])
+                    _acc(adj, par[2 * k], a.sum(axis=0))
+                    if k > 1:
+                        a = a @ pv[2 * k - 2]
             elif op == "mean":
                 x = values[par[0]]
                 _acc(adj, par[0], np.full_like(x, float(a) / x.size))
@@ -338,6 +366,17 @@ class Tape:
                             contrib = _unbroadcast(contrib, shape)
                         _acc(adj, p, contrib)
         return adj
+
+
+def _activations(h, layers):
+    """Each hidden layer's tanh(h @ W.T + b), formed as ``tanh_layer`` forms it."""
+    hs = []
+    for W, b in layers:
+        h = h @ W.T
+        h += b
+        np.tanh(h, out=h)
+        hs.append(h)
+    return hs
 
 
 def _acc(adj, idx, contrib):

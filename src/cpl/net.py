@@ -351,7 +351,7 @@ class TapeNet:
         return self.tape.leaf(value)
 
     def forward(self, X: np.ndarray) -> Var:
-        return NetField.of_inputs(self, X).value()
+        return NetField.of_inputs(self, X, value_only=True).value()
 
     def forward_jet(self, X, coord, order) -> Jet:
         return NetField.of_inputs(self, X).jet(coord, order)
@@ -421,21 +421,27 @@ class NetField:
     the value, which is also every jet's coefficient 0; on a tape its node
     goes in a place held right after the hidden layers, where an eager head
     would have been recorded.
+
+    A field built ``value_only`` has no jets.  On a tape its value is one
+    ``value_pass`` node after the input leaf, which keeps no activation; over
+    numpy it is the same field as any other.
     """
 
-    def __init__(self, net, X_spatial: np.ndarray, t: float):
+    def __init__(self, net, X_spatial: np.ndarray, t: float, value_only=False):
         B, d = X_spatial.shape
         self.net = net
         self.Xt = np.concatenate([X_spatial, np.full((B, 1), float(t))], axis=1)
+        self.value_only = value_only
         self._hidden = None  # per hidden layer: [tanh output, 1 - output^2 or None]
         self._value = None
         self._at = None      # the tape place held for the head
 
     @classmethod
-    def of_inputs(cls, net, Xt: np.ndarray):
+    def of_inputs(cls, net, Xt: np.ndarray, value_only=False):
         """The field over network inputs that already carry their time column."""
         fld = cls.__new__(cls)
-        fld.net, fld.Xt, fld._hidden, fld._value, fld._at = net, Xt, None, None, None
+        fld.net, fld.Xt, fld.value_only = net, Xt, value_only
+        fld._hidden, fld._value, fld._at = None, None, None
         return fld
 
     def _primal(self):
@@ -452,12 +458,19 @@ class NetField:
 
     def value(self):
         if self._value is None:
-            h = self._primal()[-1][0]
-            self._value = _head(h, self.net.head_w, self.net.head_b, self._at)
+            net = self.net
+            if self.value_only and net.tape is not None:
+                _check_inputs(self.Xt)
+                self._value = net.tape.value_pass(net.leaf(self.Xt), net.hidden,
+                                                  net.head_w, net.head_b)
+            else:
+                self._value = _head(self._primal()[-1][0], net.head_w, net.head_b, self._at)
         return self._value
 
     def jet(self, coord, order) -> Jet:
         """Jet of the output along coord: a spatial index 0..d-1 or TIME."""
+        if self.value_only:
+            raise ValueError("a field built value-only has no jets")
         if order > 3 or order < 0:
             raise ConfigError("jets are supported up to order 3")
         B, in_dim = self.Xt.shape

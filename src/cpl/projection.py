@@ -151,7 +151,8 @@ def moment_grad_estimates(params, batch_points: np.ndarray, t: float):
 
     grad mu1 = mean_j grad u(x_j); grad mu2 = mean_j 2 u(x_j) grad u(x_j).
     Tape-recorded by definition; both gradients come from one recorded
-    forward pass with two reverse sweeps.
+    forward pass with two reverse sweeps.  The pass is one ``value_pass``
+    node, so each sweep forms its activations again.
     """
     n = batch_points.shape[0]
     if n < 1:

@@ -252,7 +252,8 @@ def record_plan(tn, problem, cfg, plan: StepPlan, project, slice_loss):
         return base if ab is None else AffineField(base, *ab)
 
     ab = project(0, 0.0)
-    raw = [NetField(tn, plan.ic_X, 0.0)]
+    # a first-order-in-time IC loss reads only the value
+    raw = [NetField(tn, plan.ic_X, 0.0, value_only=problem.time_order == 1)]
     l_ic = pdemod.ic_loss(problem, field(raw[0], ab), plan.ic_X)
     l_pde = l_bc = None
     for s, Xs in enumerate(plan.slices):
@@ -368,7 +369,7 @@ def _discrete_projection(net, problem, targets, t_s, support):
     pts, dv = support
     vol = problem.domain.volume
     c1, c2, _ = targets.at(t_s)
-    u = NetField(net, pts, t_s).value()
+    u = NetField(net, pts, t_s, value_only=True).value()
     ab = combined_scalars(u, dv, c1 * vol, c2 * vol)
     uv = getattr(u, "value", u)
     # on a tape b is recorded only when read; the values' own scalars have

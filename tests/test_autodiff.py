@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from cpl.autodiff import AdDomainError, Tape, finite_diff_gradient
+from cpl.autodiff import AdDomainError, Tape
 from cpl.jets import Jet, UnsupportedJetOp, jet_tanh
-from cpl.net import MLPParams, NetworkConfig, TapeNet, init_params
 
 
 def test_record_mul_value_and_partials():
@@ -80,28 +79,6 @@ def test_bytes_held_counts_each_array_once():
     s = t.tanh_slope(y)       # its value is y's partial
     y * s                     # its partials are the values of s and y
     assert t.bytes_held() == 4 * x.value.nbytes
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_backward_vs_finite_differences_random_net(seed):
-    cfg = NetworkConfig(in_dim=3, hidden_layers=2, width=6, seed=seed)
-    params = init_params(cfg)
-    X = np.random.default_rng(seed).random((5, 3)) * 2.0
-
-    tape = Tape()
-    tn = TapeNet(tape, params)
-    out = tn.forward(X)
-    g = tn.grad(tape.backward(tape.sum(out)))
-
-    def f(theta):
-        from cpl.net import forward_array
-        return float(forward_array(MLPParams(cfg, theta.copy()), X).sum())
-
-    g_fd = finite_diff_gradient(f, params.flat, rel_h=1e-5)
-    small = np.abs(g_fd) < 1e-6
-    assert np.all(np.abs(g - g_fd)[small] <= 1e-4)
-    big = ~small
-    assert np.max(np.abs(g - g_fd)[big] / np.abs(g_fd)[big]) <= 1e-6
 
 
 def test_jet_rejects_order_above_three():

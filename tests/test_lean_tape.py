@@ -1,8 +1,9 @@
 """The jet tape records one node per tanh slope and none for x1 scalings, no
 step tape records a multiplication by 1.0, each hidden primal layer is one
 node that keeps no pre-activation, each hidden layer's top-order jet term is
-one node that keeps no pre-activation either, and a value nothing reads is
-not recorded.
+one node that keeps no pre-activation either, a value nothing reads is not
+recorded, and a network pass whose only reader is its value is one node that
+keeps no activation.
 
 The constructions these replaced stay here as references:
 - ``old_construction``: ``1.0 - y * y`` as a ``mul`` + ``sub`` pair for every
@@ -14,7 +15,10 @@ The constructions these replaced stay here as references:
   with the jet, whether read or not;
 - ``affine_chain``: an ``affine`` node for every jet coefficient of a hidden
   layer, the top order included, and the top-order term formed from it as a
-  ``mul`` by the order k, then a ``mul`` by the layer's slope.
+  ``mul`` by the order k, then a ``mul`` by the layer's slope;
+- ``layered_value_passes``: each value-only network pass as a ``tanh_layer``
+  node per hidden layer, holding its activation and partial, then a
+  ``project`` node.
 Swapping one back in must give the same bits: jet coefficients, step losses
 and step gradients alike.
 """
@@ -117,6 +121,21 @@ def affine_chain():
     by the order and a mul by the slope."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(NetField, "jet", _chain_jet)
+        yield
+
+
+def _layered_pass(tape, x, layers, w, b0):
+    h = x
+    for W, b in layers:
+        h = net._layer(h, W, b)
+    return net._head(h, w, b0)
+
+
+@contextlib.contextmanager
+def layered_value_passes():
+    """Record each value-only pass layer by layer, then its head."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Tape, "value_pass", _layered_pass)
         yield
 
 
@@ -342,33 +361,38 @@ def test_step_bitwise_equal_eager_values(case, monkeypatch):
     assert _is_subsequence(tape, ref_tape)
 
 
+def _criterion_10_config():
+    """The configuration of acceptance criterion 10."""
+    return TrainConfig(problem="advection1d", method="sdifp", batch_n=25, cloud_m=2000,
+                       n_time_slices=2, width=16, hidden_layers=2, seed=11).validate()
+
+
 def test_criterion_10_config_tape_nodes_pinned(monkeypatch):
     """The step tape of `cpl train` at the configuration of acceptance criterion 10."""
-    cfg = TrainConfig(problem="advection1d", method="sdifp", batch_n=25, cloud_m=2000,
-                      n_time_slices=2, width=16, hidden_layers=2, seed=11).validate()
-    assert _step(cfg, monkeypatch)[1].tape_nodes == 13_070
-    with affine_chain(), two_node_layers(), eager_values():
+    cfg = _criterion_10_config()
+    assert _step(cfg, monkeypatch)[1].tape_nodes == 11_022
+    with affine_chain(), two_node_layers(), eager_values(), layered_value_passes():
         assert _step(cfg, monkeypatch)[1].tape_nodes == 21_908
         with old_construction():
             assert _step(cfg, monkeypatch)[1].tape_nodes == 28_404
 
 
 # each method's step tape at one small configuration, and the same step with
-# affine chains, two-node layers and eager values; a count moves only when a
-# step records one node more or one fewer
+# affine chains, two-node layers, eager values and layered value passes; a
+# count moves only when a step records one node more or one fewer
 TAPE_PINS = [
-    pytest.param(dict(method="vanilla"), 1_013, 1_605, id="vanilla"),
-    pytest.param(dict(method="soft"), 1_050, 1_634, id="soft"),
-    pytest.param(dict(method="discrete_proj", proj_mode="grid", proj_support=16), 1_883, 3_103,
+    pytest.param(dict(method="vanilla"), 917, 1_605, id="vanilla"),
+    pytest.param(dict(method="soft"), 954, 1_634, id="soft"),
+    pytest.param(dict(method="discrete_proj", proj_mode="grid", proj_support=16), 1_211, 3_103,
                  id="discrete-grid"),
-    pytest.param(dict(method="discrete_proj", proj_support=16), 1_883, 3_103,
+    pytest.param(dict(method="discrete_proj", proj_support=16), 1_211, 3_103,
                  id="discrete-cloud"),
-    pytest.param(dict(method="discrete_proj", proj_support=16, proj_backprop=False), 1_053,
+    pytest.param(dict(method="discrete_proj", proj_support=16, proj_backprop=False), 957,
                  1_693, id="discrete-no-backprop"),
-    pytest.param(dict(method="sdifp"), 1_098, 1_732, id="sdifp-full"),
-    pytest.param(dict(method="sdifp", estimator="ds_uge", size_i=1, size_j=1), 970, 1_492,
+    pytest.param(dict(method="sdifp"), 1_002, 1_732, id="sdifp-full"),
+    pytest.param(dict(method="sdifp", estimator="ds_uge", size_i=1, size_j=1), 874, 1_492,
                  id="sdifp-ds_uge"),
-    pytest.param(dict(method="sdifp", estimator="soo", size_i=1), 970, 1_492, id="sdifp-soo"),
+    pytest.param(dict(method="sdifp", estimator="soo", size_i=1), 874, 1_492, id="sdifp-soo"),
 ]
 
 
@@ -385,17 +409,53 @@ def test_step_tape_nodes_pinned(case, slots, ref_slots, monkeypatch):
     assert _mul_by_one(tape) == []
     # only ds_uge evaluates a detached forward factor, on each of the two slices
     assert diag.value_evals == (2 if case.get("estimator") == "ds_uge" else 0)
-    with affine_chain(), two_node_layers(), eager_values():
+    with affine_chain(), two_node_layers(), eager_values(), layered_value_passes():
         assert _step(cfg, monkeypatch)[1].tape_nodes == ref_slots
 
 
-@pytest.mark.parametrize("method,slots", [("sdifp", 183_084), ("discrete_proj", 313_307)])
-def test_desk_step_tape_nodes_pinned(method, slots, monkeypatch):
-    """The step tape at the flags of the benchmark's desk workloads, whose
-    largest step tape the benchmark reports as its slot count."""
-    cfg = TrainConfig(problem="advection1d", method=method, width=64, hidden_layers=4,
-                      n_time_slices=4, batch_n=100, cloud_m=10_000, seed=1).validate()
-    assert _step(cfg, monkeypatch)[1].tape_nodes == slots
+def _desk_config(method):
+    """The flags of the benchmark's desk workloads."""
+    return TrainConfig(problem="advection1d", method=method, width=64, hidden_layers=4,
+                       n_time_slices=4, batch_n=100, cloud_m=10_000, seed=1).validate()
+
+
+@pytest.mark.parametrize("method,slots,nbytes", [("sdifp", 166_700, 1_336_856),
+                                                 ("discrete_proj", 168_923, 1_353_368)])
+def test_desk_step_tape_nodes_pinned(method, slots, nbytes, monkeypatch):
+    """The step tape at the desk flags, whose largest step tape the benchmark
+    reports as its slot count, and the bytes that tape holds."""
+    _, diag, tape = _step(_desk_config(method), monkeypatch)
+    assert diag.tape_nodes == slots
+    assert tape.bytes_held() == nbytes
+
+
+# every TAPE_PINS case, the criterion-10 configuration and the desk flags
+VALUE_PASS_CASES = [pytest.param(_pin_config(p.values[0]), id=p.id) for p in TAPE_PINS] + [
+    pytest.param(_criterion_10_config(), id="criterion-10"),
+    pytest.param(_desk_config("sdifp"), id="desk-sdifp"),
+    pytest.param(_desk_config("discrete_proj"), id="desk-discrete")]
+
+
+@pytest.mark.parametrize("cfg", VALUE_PASS_CASES)
+def test_value_passes_bitwise_equal_layered_passes(cfg, monkeypatch):
+    grad, diag, tape = _step(cfg, monkeypatch)
+    with layered_value_passes():
+        ref_grad, ref_diag, ref_tape = _step(cfg, monkeypatch)
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert np.float64(diag.loss).tobytes() == np.float64(ref_diag.loss).tobytes()
+    passes = [i for i, op in enumerate(tape.ops) if op == "value_pass"]
+    # the IC pass, and discrete_proj's support passes (the IC slice's and one
+    # per plan slice) when it backpropagates through them
+    supports = cfg.n_time_slices + 1 if cfg.method == "discrete_proj" and cfg.proj_backprop else 0
+    assert len(passes) == 1 + supports
+    # each pass sits right after its input leaf
+    assert all(tape.parents[i][0] == i - 1 and tape.ops[i - 1] == "leaf" for i in passes)
+    # the reference keeps each pass's activations and partials, and nothing else:
+    # rows x width slots per hidden layer (W at every odd parent but the head)
+    kept = sum(tape.values[i].shape[0] * tape.values[W].shape[0]
+               for i in passes for W in tape.parents[i][1:-2:2])
+    assert ref_diag.tape_nodes - diag.tape_nodes == kept
+    assert ref_tape.bytes_held() - tape.bytes_held() == 2 * 8 * kept
 
 
 @pytest.mark.parametrize("case,slots,ref_slots", TAPE_PINS)

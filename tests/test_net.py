@@ -191,6 +191,19 @@ def test_value_only_pass_has_no_dead_tape_nodes():
 
 
 @pytest.mark.parametrize("taped", [False, True])
+def test_value_only_field_is_one_node_with_no_jets(taped):
+    p, X, t = _field_setup()
+    tape = Tape() if taped else None
+    fld = NetField(TapeNet(tape, p) if taped else ArrayNet(p), X, t, value_only=True)
+    assert _value(fld.value()).tobytes() == NetField(ArrayNet(p), X, t).value().tobytes()
+    if taped:
+        # the parameter leaves, the input leaf, then the whole pass
+        assert tape.ops == ["leaf"] * (2 * 3 + 2) + ["leaf", "value_pass"]
+    with pytest.raises(ValueError, match="value-only"):
+        fld.jet(0, 1)
+
+
+@pytest.mark.parametrize("taped", [False, True])
 def test_shared_primal_jets_bitwise_equal_per_jet_primal(taped):
     p, X, t = _field_setup()
     Xt = np.concatenate([X, np.full((X.shape[0], 1), t)], axis=1)
